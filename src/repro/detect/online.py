@@ -17,6 +17,12 @@ time a has itself arrived by **a + 2Δ**.  The online detector
 processes the linearization prefix whose records have been stable for
 2Δ, emitting detections with bounded latency ≤ 3Δ after occurrence.
 
+Nothing can change between the instants where some record crosses
+its 2Δ watermark or a silent process crosses the liveness horizon, so
+the detectors flush only on the ``check_period`` grid ticks where one
+of those is due (:class:`_WatermarkMixin`), with the same emit times as
+a flush on every tick.
+
 With strobe loss the argument breaks: a record may arrive (via
 retransmission semantics it would not, here it simply never arrives —
 the store misses it) or sort inside the already-processed prefix.
@@ -43,7 +49,7 @@ from repro.detect.base import Detection, DetectionLabel, Detector
 from repro.detect.strobe_vector import VectorStrobeDetector
 from repro.predicates.base import Predicate
 from repro.sim.kernel import Simulator
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import GridTimer
 
 #: Buckets for detection-latency histograms (simulated seconds).
 _LATENCY_BUCKETS = [10 ** (k / 2) for k in range(-6, 7)]
@@ -112,14 +118,20 @@ class _LivenessMixin:
         #: total quarantine entries over the run (rejoins don't subtract)
         self.quarantine_events = 0
 
-    def _note_heard(self, pid: int, now: float) -> None:
+    def _note_heard(self, pid: int, now: float) -> bool:
+        """Track ``pid`` as heard at ``now``; True iff its silence is
+        newly timed (first record, or a rejoin from quarantine) — the
+        only cases where its expiry can precede every one already due."""
         if self._liveness_horizon is None:
-            return
+            return False
+        fresh = pid not in self._last_heard
         self._last_heard[pid] = now
         if pid in self.quarantined:
             self.quarantined.discard(pid)
             if self._m_quarantined is not None:
                 self._m_quarantined.set(len(self.quarantined))
+            return True
+        return fresh
 
     def _update_quarantine(self, now: float) -> None:
         horizon = self._liveness_horizon
@@ -135,21 +147,150 @@ class _LivenessMixin:
                     self._m_quarantined.set(len(self.quarantined))
 
 
-class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDetector):
+class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
+    """Arrival bookkeeping and event-driven flushing shared by the
+    online detectors.
+
+    A flush can change state at a grid tick ``g`` only if the first
+    pending record has been stable for the wait (``g - a >= wait`` for
+    its arrival ``a``, the test ``flush`` applies) or a tracked process
+    passes the liveness horizon (``g - heard > horizon``).  Both tests
+    are monotone in ``a`` and ``heard``, so the earliest such tick is
+    known in advance and is the only one armed on the ``check_period``
+    grid (:class:`~repro.sim.timers.GridTimer`).  Flushes land on the
+    same ticks, in the same same-instant order, as a flush polled on
+    every tick; the skipped ticks would have changed nothing.
+    """
+
+    def _watermark_init(
+        self,
+        sim: Simulator,
+        *,
+        delta: float,
+        check_period: float,
+        liveness_horizon: "float | None",
+        label: str,
+    ) -> None:
+        if delta < 0:
+            raise ValueError(f"delta must be non-negative, got {delta}")
+        if check_period <= 0:
+            raise ValueError(f"check_period must be positive, got {check_period}")
+        self._liveness_init(liveness_horizon)
+        self._sim = sim
+        self._stability_wait = 2.0 * float(delta)
+        self._arrivals: dict[tuple[int, int], float] = {}
+        #: not-yet-final records, kept sorted by ``_sort_key``
+        self._pending: list[SensedEventRecord] = []
+        #: arrivals since the last flush (unsorted, in arrival order)
+        self._new: list[SensedEventRecord] = []
+        self.late_records = 0
+        #: (detection, emit_time) pairs for latency analysis
+        self.emissions: list[tuple[Detection, float]] = []
+        self._grid = GridTimer(sim, self.flush, period=check_period, label=label)
+
+    def start(self) -> None:
+        """Begin watermark flushes on the ``check_period`` grid."""
+        self._grid.start()
+        self._rearm()
+
+    def stop(self) -> None:
+        self._grid.stop()
+
+    def feed(self, record: SensedEventRecord) -> None:
+        now = self._sim.now
+        heard = now if self._note_heard(record.pid, now) else None
+        arrival = None
+        if self.store.add(record):
+            self._arrivals[record.key()] = now
+            self._new.append(record)
+            if not self._pending and len(self._new) == 1:
+                arrival = now                # the first unprocessed record
+            if self._m_records is not None:
+                self._m_records.inc()
+        self._arm(arrival, heard)
+
+    def _arm(self, arrival: "float | None", heard: "float | None") -> None:
+        """Arm the first grid tick where the record that arrived at
+        ``arrival`` is stable or the process heard at ``heard`` expires
+        (either may be None), unless an earlier tick is armed already."""
+        grid = self._grid
+        if not grid.running or (arrival is None and heard is None):
+            return
+        wait = self._stability_wait
+        horizon = self._liveness_horizon
+        period = grid.period
+        armed = grid.armed
+        g = grid.next_tick
+        while not (
+            (arrival is not None and g - arrival >= wait)
+            or (heard is not None and g - heard > horizon)
+        ):
+            if armed is not None and g >= armed:
+                return
+            g = g + period
+        grid.arm(g)
+
+    def _rearm(self) -> None:
+        """Arm for the current state: the first pending record (a new
+        arrival can only sort before it with a later arrival) and the
+        earliest hearing of a process not yet quarantined."""
+        head = self._pending[0] if self._pending else (self._new[0] if self._new else None)
+        heard = None
+        if self._liveness_horizon is not None:
+            heard = min(
+                (t for pid, t in self._last_heard.items() if pid not in self.quarantined),
+                default=None,
+            )
+        self._arm(None if head is None else self._arrivals[head.key()], heard)
+
+    def finalize(self) -> list[Detection]:
+        """Flush everything regardless of stability (end of run)."""
+        self.stop()
+        self._stability_wait = 0.0
+        self.flush()
+        return self.detections
+
+    def detection_latencies(self) -> list[float]:
+        """Oracle-side: emit time − true occurrence time per detection."""
+        return [t - d.trigger.true_time for d, t in self.emissions]
+
+    def _watermark_snapshot(self) -> dict[str, Any]:
+        """Frontier fields both detectors share: retained pending/new
+        arrival cursors, the incremental environment, and the flush
+        grid's next tick position and armed tick."""
+        from repro.trace.recorder import _canon
+
+        return {
+            "pending": [list(r.key()) for r in self._pending],
+            "new": sorted(list(r.key()) for r in self._new),
+            "arrivals": [
+                [k[0], k[1], t] for k, t in sorted(self._arrivals.items())
+            ],
+            "env": {k: _canon(v) for k, v in sorted(self._env.items())},
+            "last_key": _canon(self._last_key),
+            "late_records": self.late_records,
+            "emissions": len(self.emissions),
+            "quarantined": sorted(self.quarantined),
+            "grid": self._grid.snapshot(),
+        }
+
+
+class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
     """Watermark-based online variant of the vector-strobe detector.
 
     Parameters
     ----------
     sim:
-        Simulation kernel (drives the flush timer and supplies arrival
+        Simulation kernel (drives the flush grid and supplies arrival
         times).
     predicate, initials:
         As for every detector.
     delta:
         The network's delay bound Δ; the stability wait is ``2 * delta``.
     check_period:
-        How often the watermark advances (seconds).  Smaller periods
-        reduce detection latency jitter at more bookkeeping.
+        Spacing of the grid the watermark advances on (seconds).
+        Smaller periods reduce detection latency jitter; idle ticks
+        cost nothing.
     liveness_horizon:
         Quarantine processes silent for this many simulated seconds
         (see :class:`_LivenessMixin`); ``None`` disables the tracking.
@@ -168,15 +309,11 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         max_race_combos: int = 4096,
         liveness_horizon: float | None = None,
     ) -> None:
-        if delta < 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
-        if check_period <= 0:
-            raise ValueError(f"check_period must be positive, got {check_period}")
         super().__init__(predicate, initials, max_race_combos=max_race_combos)
-        self._liveness_init(liveness_horizon)
-        self._sim = sim
-        self._stability_wait = 2.0 * float(delta)
-        self._arrivals: dict[tuple[int, int], float] = {}
+        self._watermark_init(
+            sim, delta=delta, check_period=check_period,
+            liveness_horizon=liveness_horizon, label="online-detect",
+        )
         # Incremental replay state.
         self._env: dict = dict(initials)
         self._processed: list[SensedEventRecord] = []
@@ -185,38 +322,12 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         self._vals_l: list[Any] = []         # post-event value per index
         self._state = {"prev_lin": False, "prev_possible": False}
         self._last_key: tuple | None = None  # sort key of last processed
-        #: not-yet-final records, kept sorted by linearization key
-        self._pending: list[SensedEventRecord] = []
-        #: arrivals since the last flush (unsorted)
-        self._new: list[SensedEventRecord] = []
         # Growing stamp buffers over the linearization (processed prefix
         # persists; suffix rows are rewritten each flush).
         self._vec_width: int | None = None
         self._vecs: "np.ndarray | None" = None        # (cap, n) int64
         self._packed_buf: "np.ndarray | None" = None  # (cap,) uint64
         self._packed_ok = False
-        self.late_records = 0
-        #: (detection, emit_time) pairs for latency analysis
-        self.emissions: list[tuple[Detection, float]] = []
-        self._timer = PeriodicTimer(
-            sim, self.flush, period=check_period, label="online-detect"
-        )
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin periodic watermark flushes."""
-        self._timer.start()
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    def feed(self, record: SensedEventRecord) -> None:
-        self._note_heard(record.pid, self._sim.now)
-        if self.store.add(record):
-            self._arrivals[record.key()] = self._sim.now
-            self._new.append(record)
-            if self._m_records is not None:
-                self._m_records.inc()
 
     # ------------------------------------------------------------------
     def _ensure_rows(self, total: int) -> "np.ndarray":
@@ -300,6 +411,7 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
                 self._flush_stable(suffix, stable, now)
         if self._m_backlog is not None:
             self._m_backlog.set(len(self.store) - len(self._processed))
+        self._rearm()
 
     def _flush_stable(self, suffix: list[SensedEventRecord], stable: int, now: float) -> None:
         """Process the ``stable``-length prefix of ``suffix`` (racing
@@ -371,43 +483,21 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         self._last_key = self._sort_key(full[-1])
 
     # ------------------------------------------------------------------
-    def finalize(self) -> list[Detection]:
-        """Flush everything regardless of stability (end of run)."""
-        self.stop()
-        self._stability_wait = 0.0
-        self.flush()
-        return self.detections
-
-    def detection_latencies(self) -> list[float]:
-        """Oracle-side: emit time − true occurrence time per detection."""
-        return [t - d.trigger.true_time for d, t in self.emissions]
-
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the watermark frontier: processed prefix
-        length, retained pending/new arrival cursors, the incremental
-        environment and race state — the full per-flush recurrence
-        state, so equal snapshots imply identical future flushes."""
-        from repro.trace.recorder import _canon
-
+        length, the shared cursors (see ``_watermark_snapshot``) and the
+        race state — the full per-flush recurrence state, so equal
+        snapshots imply identical future flushes."""
         snap = super().frontier_snapshot()
+        snap.update(self._watermark_snapshot())
         snap.update({
             "processed": len(self._processed),
-            "pending": [list(r.key()) for r in self._pending],
-            "new": sorted(list(r.key()) for r in self._new),
-            "arrivals": [
-                [k[0], k[1], t] for k, t in sorted(self._arrivals.items())
-            ],
-            "env": {k: _canon(v) for k, v in sorted(self._env.items())},
             "state": dict(self._state),
-            "last_key": _canon(self._last_key),
-            "late_records": self.late_records,
-            "emissions": len(self.emissions),
-            "quarantined": sorted(self.quarantined),
         })
         return snap
 
 
-class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
+class OnlineScalarStrobeDetector(_WatermarkMixin, Detector):
     """Watermark-based online scalar-strobe detection.
 
     The 2Δ stability argument holds for the scalar order too: any
@@ -433,50 +523,26 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
         check_period: float = 0.1,
         liveness_horizon: float | None = None,
     ) -> None:
-        if delta < 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
-        if check_period <= 0:
-            raise ValueError(f"check_period must be positive, got {check_period}")
         super().__init__(predicate, initials)
-        self._liveness_init(liveness_horizon)
-        self._sim = sim
-        self._stability_wait = 2.0 * float(delta)
-        self._arrivals: dict[tuple[int, int], float] = {}
+        self._watermark_init(
+            sim, delta=delta, check_period=check_period,
+            liveness_horizon=liveness_horizon, label="online-scalar-detect",
+        )
         self._env: dict = dict(initials)
         self._processed_count = 0
         self._last_key: tuple | None = None
         self._prev = False
-        #: not-yet-final records, kept sorted by (value, pid, seq)
-        self._pending: list[SensedEventRecord] = []
-        #: arrivals since the last flush (unsorted)
-        self._new: list[SensedEventRecord] = []
-        self.late_records = 0
-        self.emissions: list[tuple[Detection, float]] = []
-        self._timer = PeriodicTimer(
-            sim, self.flush, period=check_period, label="online-scalar-detect"
-        )
 
     @staticmethod
     def _sort_key(r: SensedEventRecord):
         return (r.strobe_scalar.value, r.pid, r.seq)
-
-    def start(self) -> None:
-        self._timer.start()
-
-    def stop(self) -> None:
-        self._timer.stop()
 
     def feed(self, record: SensedEventRecord) -> None:
         if record.strobe_scalar is None:
             raise ValueError(
                 f"record {record.key()} lacks a strobe_scalar stamp"
             )
-        self._note_heard(record.pid, self._sim.now)
-        if self.store.add(record):
-            self._arrivals[record.key()] = self._sim.now
-            self._new.append(record)
-            if self._m_records is not None:
-                self._m_records.inc()
+        super().feed(record)
 
     def flush(self) -> None:
         now = self._sim.now
@@ -539,36 +605,14 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
             self._processed_count += done
         if self._m_backlog is not None:
             self._m_backlog.set(len(self.store) - self._processed_count)
-
-    def finalize(self) -> list[Detection]:
-        self.stop()
-        self._stability_wait = 0.0
-        self.flush()
-        return self.detections
-
-    def detection_latencies(self) -> list[float]:
-        return [t - d.trigger.true_time for d, t in self.emissions]
+        self._rearm()
 
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the scalar watermark frontier (processed
-        count, pending/new cursors, rising-edge state)."""
-        from repro.trace.recorder import _canon
-
+        count, the shared cursors, rising-edge state)."""
         snap = super().frontier_snapshot()
-        snap.update({
-            "processed": self._processed_count,
-            "pending": [list(r.key()) for r in self._pending],
-            "new": sorted(list(r.key()) for r in self._new),
-            "arrivals": [
-                [k[0], k[1], t] for k, t in sorted(self._arrivals.items())
-            ],
-            "env": {k: _canon(v) for k, v in sorted(self._env.items())},
-            "prev": self._prev,
-            "last_key": _canon(self._last_key),
-            "late_records": self.late_records,
-            "emissions": len(self.emissions),
-            "quarantined": sorted(self.quarantined),
-        })
+        snap.update(self._watermark_snapshot())
+        snap.update({"processed": self._processed_count, "prev": self._prev})
         return snap
 
 

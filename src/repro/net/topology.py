@@ -8,7 +8,10 @@ can model mobility-induced link changes.
 The transport layer consults the topology per delivery: a message is
 deliverable iff the endpoints are currently connected (directly or —
 for the overlay abstraction — via any path; the overlay hides
-routing, matching the paper's "logical network overlay").
+routing, matching the paper's "logical network overlay").  Every edge
+mutation goes through :class:`DynamicTopology` and bumps
+:attr:`Topology.version`, the key of the cached component labels that
+answer those reachability queries.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ class Topology:
         if graph.number_of_nodes() == 0:
             raise ValueError("topology needs at least one node")
         self._g = graph
+        self._version = 0
+        self._labels_version = -1
+        self._labels: dict[int, int] = {}
 
     # -- factories ------------------------------------------------------
     @classmethod
@@ -65,7 +71,14 @@ class Topology:
 
     @property
     def graph(self) -> nx.Graph:
+        """The overlay graph; mutate it only through
+        :class:`DynamicTopology`, which keeps :attr:`version` current."""
         return self._g
+
+    @property
+    def version(self) -> int:
+        """Edge-mutation counter; reachability caches key on it."""
+        return self._version
 
     def nodes(self) -> list[int]:
         return sorted(self._g.nodes)
@@ -76,11 +89,23 @@ class Topology:
     def has_edge(self, a: int, b: int) -> bool:
         return self._g.has_edge(a, b)
 
+    def component_labels(self) -> dict[int, int]:
+        """Connected-component label per node, cached under
+        :attr:`version`."""
+        if self._labels_version != self._version:
+            self._labels = _component_labels(self._g)
+            self._labels_version = self._version
+        return self._labels
+
     def connected(self, a: int, b: int) -> bool:
         """True iff a path exists between a and b (overlay reachability)."""
         if a == b:
             return True
-        return nx.has_path(self._g, a, b)
+        labels = self.component_labels()
+        for node in (a, b):
+            if node not in labels:
+                raise nx.NodeNotFound(f"node {node} is not in the topology")
+        return labels[a] == labels[b]
 
     def is_connected(self) -> bool:
         return nx.is_connected(self._g)
@@ -132,14 +157,17 @@ class DynamicTopology(Topology):
                 self._g.add_edge(a, b)
             flipped += 1
         self._epoch += 1
+        self._version += 1
         return flipped
 
     def remove_edge(self, a: int, b: int) -> None:
         if self._g.has_edge(a, b):
             self._g.remove_edge(a, b)
+            self._version += 1
 
     def add_edge(self, a: int, b: int) -> None:
         self._g.add_edge(a, b)
+        self._version += 1
 
 
 class PartitionOverlay:
@@ -178,9 +206,8 @@ class PartitionOverlay:
                     raise ValueError(f"partition groups overlap: {sorted(seen & g)}")
                 seen |= g
             self._groups = gs
-        # Component-map cache for residual reachability, invalidated on
-        # (graph identity, edge count) change — enough for the static
-        # and churned topologies in this codebase.
+        # Component-map cache for residual reachability, keyed on the
+        # topology object and its mutation version.
         self._cache_key: tuple | None = None
         self._components: dict[int, int] = {}
 
@@ -205,7 +232,9 @@ class PartitionOverlay:
         return -1     # the implicit "everyone else" group
 
     def _component_map(self, topo: Topology) -> dict[int, int]:
-        key = (id(topo.graph), topo.graph.number_of_edges())
+        # Holding the topology itself (compared by identity) in the key
+        # keeps a dead topology's id from being mistaken for a live one.
+        key = (topo, topo.version)
         if key != self._cache_key:
             g = topo.graph.copy()
             for a, b in self._cut:
@@ -215,12 +244,8 @@ class PartitionOverlay:
                 for a, b in list(g.edges):
                     if self._group_of(int(a)) != self._group_of(int(b)):
                         g.remove_edge(a, b)
-            comp: dict[int, int] = {}
-            for i, nodes in enumerate(nx.connected_components(g)):
-                for node in nodes:
-                    comp[int(node)] = i
             self._cache_key = key
-            self._components = comp
+            self._components = _component_labels(g)
         return self._components
 
     def connected(self, topo: Topology, a: int, b: int) -> bool:
@@ -237,6 +262,15 @@ class PartitionOverlay:
         if self._groups is not None:
             return f"PartitionOverlay(groups={[sorted(g) for g in self._groups]})"
         return f"PartitionOverlay(cut_edges={sorted(self._cut)})"
+
+
+def _component_labels(g: nx.Graph) -> dict[int, int]:
+    """Node → index of its connected component in ``g``."""
+    labels: dict[int, int] = {}
+    for i, nodes in enumerate(nx.connected_components(g)):
+        for node in nodes:
+            labels[int(node)] = i
+    return labels
 
 
 __all__ = ["Topology", "DynamicTopology", "PartitionOverlay"]

@@ -45,7 +45,10 @@ from repro.replay.manifest import RunManifest, code_digest
 from repro.util.atomicio import atomic_write_text
 
 #: Bump when the snapshot schema changes; old checkpoints are refused.
-SNAPSHOT_VERSION = 1
+#: Version 2: online detectors flush only on armed grid ticks, so
+#: ``processed_events`` no longer counts idle flush polls, and the
+#: detector section carries the flush grid's tick position.
+SNAPSHOT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

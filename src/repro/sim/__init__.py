@@ -29,7 +29,7 @@ from repro.sim.kernel import (
     SimulationError,
 )
 from repro.sim.rng import RngRegistry, substream_seed
-from repro.sim.timers import Timer, PeriodicTimer
+from repro.sim.timers import GridTimer, PeriodicTimer, Timer
 from repro.sim.trace import TraceRecorder, TraceEntry
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "substream_seed",
     "Timer",
     "PeriodicTimer",
+    "GridTimer",
     "TraceRecorder",
     "TraceEntry",
 ]

@@ -1,9 +1,17 @@
 """Heap-based discrete-event simulation kernel.
 
 The kernel is intentionally minimal: a priority queue of
-``(time, priority, seq)``-ordered callbacks and a run loop.  All model
+``(time, priority, seq, event)`` tuples and a run loop.  All model
 behaviour (message delivery, sensing, clock protocols) is expressed as
 callbacks scheduled on a :class:`Simulator`.
+
+Besides the event heap the run loop keeps the *positions* of grid
+ticks (:class:`~repro.sim.timers.GridTimer`): periodic instants that
+cost no event unless armed.  A position is where the tick would sit
+had it been scheduled like a :class:`~repro.sim.timers.PeriodicTimer`
+tick — its time, and a sequence number reserved when the previous
+tick was passed — so an armed tick fires exactly where the polled
+timer's event would have.
 
 Determinism contract
 --------------------
@@ -23,6 +31,12 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.sim.timers import GridTimer
+
+#: One heap entry: ``(time, priority, seq, event)``.
+_Entry = tuple[float, int, int, "ScheduledEvent"]
+#: One grid-tick position: ``(time, priority, reserved seq, grid)``.
+_Tick = tuple[float, int, int, "GridTimer"]
 
 
 class SimulationError(RuntimeError):
@@ -41,22 +55,23 @@ PRIORITY_EARLY = -10
 PRIORITY_LATE = 10
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class ScheduledEvent:
-    """A callback registered with the simulator.
+    """A callback registered with the simulator: the cancel handle.
 
-    Instances are ordered by ``(time, priority, seq)`` which is exactly
-    the kernel's firing order.  ``cancel()`` marks the entry dead; the
-    heap lazily discards dead entries when they surface.
+    The heap holds ``(time, priority, seq, event)`` tuples, so the
+    kernel's firing order is the tuple order and never compares events
+    (``seq`` is unique).  ``cancel()`` marks the entry dead; the heap
+    lazily discards dead entries when they surface.
     """
 
     time: float
     priority: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    _cancelled: bool = field(default=False, compare=False)
-    _owner: "Simulator | None" = field(default=None, compare=False, repr=False)
+    callback: Callable[[], None]
+    label: str = ""
+    _cancelled: bool = False
+    _owner: "Simulator | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent."""
@@ -94,7 +109,11 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[_Entry] = []
+        #: Positions of unpassed, unarmed grid ticks (a heap; see
+        #: :meth:`add_tick`).  Compared against event entries: seqs are
+        #: unique across both, so comparison never reaches the payload.
+        self._ticks: list[_Tick] = []
         # Plain int rather than itertools.count: the checkpoint layer
         # (repro.recover) includes the counter in state snapshots, and
         # a count object cannot be inspected without consuming it.
@@ -161,23 +180,50 @@ class Simulator:
         *,
         priority: int = PRIORITY_NORMAL,
         label: str = "",
+        seq: int | None = None,
     ) -> ScheduledEvent:
         """Schedule ``callback`` to fire at absolute time ``time``.
 
         Scheduling strictly in the past raises :class:`SimulationError`;
         scheduling at exactly ``now`` is allowed and fires after the
-        currently executing event completes.
+        currently executing event completes.  ``seq`` is a number from
+        :meth:`reserve_seq`: the event then takes the FIFO place among
+        same-``(time, priority)`` events that it would have had if
+        scheduled when the number was reserved.
         """
         t = float(time)
         if t < self._now:
             raise SimulationError(
                 f"cannot schedule at t={t} (< now={self._now}): {label!r}"
             )
-        ev = ScheduledEvent(t, priority, self._seq, callback, label, _owner=self)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        if seq is None:
+            seq = self._seq
+            self._seq += 1
+        ev = ScheduledEvent(t, priority, seq, callback, label, _owner=self)
+        heapq.heappush(self._heap, (t, priority, seq, ev))
         self._live += 1
         return ev
+
+    def reserve_seq(self) -> int:
+        """Draw the next FIFO sequence number without scheduling; pass
+        it to :meth:`schedule_at` later."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
+    def add_tick(self, time: float, seq: int, grid: "GridTimer") -> None:
+        """Record the position of ``grid``'s next tick: ``time`` at
+        normal priority, FIFO place ``seq`` (from :meth:`reserve_seq`).
+        The run loop calls ``grid._passed()`` when it moves past that
+        position without an event there."""
+        heapq.heappush(self._ticks, (float(time), PRIORITY_NORMAL, seq, grid))
+
+    def remove_tick(self, grid: "GridTimer") -> None:
+        """Forget ``grid``'s recorded tick position, if any."""
+        kept = [tick for tick in self._ticks if tick[3] is not grid]
+        if len(kept) != len(self._ticks):
+            heapq.heapify(kept)
+            self._ticks = kept
 
     def schedule_after(
         self,
@@ -224,7 +270,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        self._heap = [ev for ev in self._heap if not ev.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3]._cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
         self._compactions += 1
@@ -234,10 +280,29 @@ class Simulator:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def _pop_live(self) -> ScheduledEvent | None:
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if not ev.cancelled:
+    def _pop_live(self, until: float | None = None) -> ScheduledEvent | None:
+        """Pop the next live event at or before ``until``, passing every
+        grid tick positioned before it; None when there is none (the
+        beyond-horizon event, if any, stays queued)."""
+        heap = self._heap
+        while True:
+            ticks = self._ticks
+            if ticks and (not heap or heap[0] > ticks[0]):
+                # A grid tick comes first.  Past the horizon, or with
+                # nothing left to run and nothing armed, stop here.
+                if until is not None:
+                    if ticks[0][0] > until:
+                        return None
+                elif not heap and all(t[3].armed is None for t in ticks):
+                    return None
+                heapq.heappop(ticks)[3]._passed()
+                continue
+            if not heap:
+                return None
+            if until is not None and heap[0][0] > until:
+                return None
+            ev = heapq.heappop(heap)[3]
+            if not ev._cancelled:
                 # Detach from the accounting: a later cancel() on an
                 # already-fired/drained event must not touch _live/_dead
                 # (it used to inflate _dead and trigger spurious
@@ -247,7 +312,6 @@ class Simulator:
                 return ev
             if self._dead > 0:
                 self._dead -= 1
-        return None
 
     def _fire(self, ev: ScheduledEvent) -> None:
         # Shared firing path for step()/run(); the None test is the
@@ -280,28 +344,19 @@ class Simulator:
         ``max_events`` callbacks have fired.
 
         ``until`` is inclusive: events scheduled exactly at ``until``
-        fire; the clock is left at ``until`` if it is reached.
+        fire; the clock is left at ``until`` if it is reached, after
+        every grid tick at or before ``until`` has been passed.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         fired = 0
         try:
-            while True:
-                if max_events is not None and fired >= max_events:
-                    return
-                ev = self._pop_live()
+            while max_events is None or fired < max_events:
+                ev = self._pop_live(until)
                 if ev is None:
                     if until is not None and until > self._now:
                         self._now = float(until)
-                    return
-                if until is not None and ev.time > until:
-                    # Put it back; we are done for this horizon.  The
-                    # entry re-enters the accounting _pop_live detached.
-                    heapq.heappush(self._heap, ev)
-                    ev._owner = self
-                    self._live += 1
-                    self._now = float(until)
                     return
                 self._now = ev.time
                 self._fire(ev)
@@ -324,20 +379,25 @@ class Simulator:
         :mod:`repro.recover` verifies on restore.
         """
         entries: list[tuple[float, int, int, str]] = [
-            (ev.time, ev.priority, ev.seq, ev.label)
-            for ev in self._heap
-            if not ev.cancelled
+            (time, priority, seq, ev.label)
+            for time, priority, seq, ev in self._heap
+            if not ev._cancelled
         ]
         entries.sort()
         head: list[list[object]] = [[self._processed, self._seq]]
         return head + [list(e) for e in entries]
 
     def drain(self) -> Iterator[ScheduledEvent]:
-        """Remove and yield all remaining live events without firing them."""
-        while True:
-            ev = self._pop_live()
-            if ev is None:
-                return
+        """Remove and yield all remaining live events without firing
+        them (grid ticks are not events and stay where they are)."""
+        while self._heap:
+            ev = heapq.heappop(self._heap)[3]
+            if ev._cancelled:
+                if self._dead > 0:
+                    self._dead -= 1
+                continue
+            ev._owner = None
+            self._live -= 1
             yield ev
 
     # ------------------------------------------------------------------

@@ -108,3 +108,53 @@ def test_dynamic_does_not_mutate_source_graph():
     t = DynamicTopology(base.graph)
     t.remove_edge(0, 1)
     assert base.has_edge(0, 1)
+
+
+def test_partition_reachability_follows_churn_that_keeps_edge_count():
+    """Regression: the overlay's component cache used to key on the
+    edge count, so a remove + add left it answering for the old graph."""
+    import networkx as nx
+    from repro.net.topology import PartitionOverlay
+
+    g = nx.Graph([(0, 1), (2, 3)])
+    t = DynamicTopology(g)
+    overlay = PartitionOverlay(cut_edges=[(2, 3)])
+    assert overlay.connected(t, 0, 1)          # warms the cache
+    t.remove_edge(0, 1)
+    t.add_edge(1, 2)
+    assert t.graph.number_of_edges() == 2
+    assert not t.connected(0, 1)
+    assert not overlay.connected(t, 0, 1)
+    assert overlay.connected(t, 1, 2)
+    assert not overlay.connected(t, 2, 3)      # still cut
+
+
+def test_component_labels_cached_until_mutation():
+    t = DynamicTopology(Topology.ring(4).graph)
+    labels = t.component_labels()
+    assert t.component_labels() is labels
+    v = t.version
+    t.remove_edge(0, 1)
+    assert t.version == v + 1
+    t.remove_edge(0, 1)                        # absent: nothing changes
+    assert t.version == v + 1
+    t.remove_edge(2, 3)
+    assert t.connected(0, 3)                   # the 3-0 edge remains
+    assert not t.connected(1, 3)
+    t.add_edge(1, 3)
+    assert t.version == v + 3
+    assert t.connected(1, 3)
+    t.churn(np.random.default_rng(0), flip_fraction=0.5)
+    assert t.version == v + 4
+    import networkx as nx
+
+    for a in range(4):
+        for b in range(4):
+            assert t.connected(a, b) == nx.has_path(t.graph, a, b)
+
+
+def test_connected_rejects_unknown_node():
+    import networkx as nx
+
+    with pytest.raises(nx.NodeNotFound):
+        Topology.ring(3).connected(0, 7)

@@ -109,3 +109,30 @@ def test_not_a_checkpoint_file(tmp_path):
 def test_missing_checkpoint_file(tmp_path):
     with pytest.raises(CheckpointError, match="does not exist"):
         Checkpoint.load(tmp_path / "nope.ckpt")
+
+
+def test_version_1_checkpoint_is_refused():
+    """Version-1 certificates predate event-driven flushing: their
+    ``processed_events`` counted idle flush polls, so re-executing
+    that many events would land elsewhere.  They are refused outright."""
+    from repro.recover import SNAPSHOT_VERSION, snapshot_digest
+
+    assert SNAPSHOT_VERSION == 2
+    run = PartialRun(MANIFEST)
+    run.step_to(25)
+    payload = json.loads(Checkpoint.capture(run).to_json())
+    payload["version"] = 1
+    del payload["state"]["detector"]["grid"]
+    payload["digest"] = snapshot_digest(payload["state"])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        Checkpoint.from_json(json.dumps(payload))
+
+
+def test_detector_section_carries_the_flush_grid():
+    run = PartialRun(MANIFEST)
+    run.step_to(60)
+    grid = run.snapshot()["detector"]["grid"]
+    next_tick, seq, armed = grid
+    assert next_tick >= run.sim.now
+    assert isinstance(seq, int)
+    assert armed is None or armed >= next_tick
