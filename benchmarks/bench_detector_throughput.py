@@ -207,16 +207,17 @@ def test_sweep_replications(save_bench_json):
     (per-task ``substream_seed``); wall times come from the runner's
     obs registry, not the rows."""
     from repro.obs import MetricsRegistry
-    from repro.sweep import SweepRunner, expand_matrix
+    from repro.recover import SupervisedPool
+    from repro.sweep import expand_matrix
     from repro.sweep.points import MATRICES
 
     registry = MetricsRegistry()
     tasks = expand_matrix(MATRICES["detector_throughput"], master_seed=0)
-    rows = SweepRunner(workers=1, registry=registry).run(tasks)
+    rows = SupervisedPool(workers=1, registry=registry).run(tasks).rows
     assert [r["index"] for r in rows] == list(range(len(tasks)))
     assert all("error" not in r for r in rows)
     # Same (detector, m, seed) coordinates -> same counts and labels.
-    again = SweepRunner(workers=1).run(tasks)
+    again = SupervisedPool(workers=1).run(tasks).rows
     assert [r["result"] for r in again] == [r["result"] for r in rows]
     save_bench_json(
         "detector_throughput_sweep",

@@ -82,12 +82,13 @@ def test_sweep_replications(save_bench_json):
     as ``BENCH_e07_sync_cost_sweep.json`` (the cross-seed spread E7's
     single-seed table cannot show)."""
     from repro.obs import MetricsRegistry
-    from repro.sweep import SweepRunner, expand_matrix
+    from repro.recover import SupervisedPool
+    from repro.sweep import expand_matrix
     from repro.sweep.points import MATRICES
 
     registry = MetricsRegistry()
     tasks = expand_matrix(MATRICES["sync_cost"], master_seed=0, reps=2)
-    rows = SweepRunner(workers=1, registry=registry).run(tasks)
+    rows = SupervisedPool(workers=1, registry=registry).run(tasks).rows
     assert all("error" not in r for r in rows)
     by_option: dict = {}
     for r in rows:

@@ -35,7 +35,7 @@ Examples::
     python -m repro recover certify smart_office --duration 30 --family all
     python -m repro recover stream hall --out hall.stream.jsonl
     python -m repro serve --wal served/ --scenario hall --in hall.stream.jsonl
-    python -m repro sweep detector_throughput --supervised --timeout 300
+    python -m repro sweep detector_throughput --timeout 300
 """
 
 from __future__ import annotations
@@ -51,17 +51,13 @@ from repro.detect import (
     ScalarStrobeDetector,
     VectorStrobeDetector,
 )
-from repro.net.delay import DeltaBoundedDelay, SynchronousDelay
+from repro.scenarios.builders import OBS_SCENARIOS, delay_model
 
 DETECTORS = {
     "vector": VectorStrobeDetector,
     "scalar": ScalarStrobeDetector,
     "physical": PhysicalClockDetector,
 }
-
-
-def _delay(delta: float):
-    return SynchronousDelay(0.0) if delta == 0.0 else DeltaBoundedDelay(delta)
 
 
 def _positive_int(text: str) -> int:
@@ -72,19 +68,14 @@ def _positive_int(text: str) -> int:
 
 
 def _supervision_flags(p) -> None:
-    """--supervised / --timeout / --retries (sweep-shaped commands)."""
-    p.add_argument("--supervised", action="store_true",
-                   help="run tasks on the supervised worker plane: "
-                        "per-task wall timeouts, bounded retries, "
-                        "quarantine to <out>.quarantine.jsonl, durable "
-                        "row streaming to <out>.partial.jsonl, graceful "
-                        "SIGINT/SIGTERM drain")
+    """--timeout / --retries (sweep-shaped commands)."""
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="with --supervised: kill a task exceeding this "
-                        "wall time (default: no per-task deadline)")
+                   help="kill a task exceeding this wall time and replace "
+                        "its worker (default: no per-task deadline)")
     p.add_argument("--retries", type=int, default=2, metavar="N",
-                   help="with --supervised: retry a hung/killed task up "
-                        "to N times before quarantining (default 2)")
+                   help="retry a hung/killed task up to N times before "
+                        "quarantining it to <out>.quarantine.jsonl "
+                        "(default 2)")
 
 
 def _score_row(name, truth, detections):
@@ -105,7 +96,7 @@ def cmd_hall(args) -> int:
     cfg = ExhibitionHallConfig(
         doors=args.doors, capacity=args.capacity,
         arrival_rate=args.rate, mean_dwell=args.dwell,
-        seed=args.seed, delay=_delay(args.delta),
+        seed=args.seed, delay=delay_model(args.delta),
         clocks=ClockConfig.everything(),
     )
     hall = ExhibitionHall(cfg)
@@ -143,7 +134,7 @@ def cmd_office(args) -> int:
     from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
 
     office = SmartOffice(SmartOfficeConfig(
-        seed=args.seed, delay=_delay(args.delta),
+        seed=args.seed, delay=delay_model(args.delta),
         temp_threshold=28.0, temp_base=27.5, temp_sigma=1.5,
         mean_occupied=40.0, mean_vacant=15.0,
     ))
@@ -162,7 +153,7 @@ def cmd_hospital(args) -> int:
     from repro.scenarios.hospital import Hospital, HospitalConfig
 
     h = Hospital(HospitalConfig(
-        seed=args.seed, delay=_delay(args.delta),
+        seed=args.seed, delay=delay_model(args.delta),
         n_visitors=args.visitors, waiting_capacity=args.capacity,
     ))
     phi = h.waiting_room_predicate()
@@ -206,7 +197,7 @@ def cmd_clocks(args) -> int:
     from repro.detect.base import RecordStore
 
     system = PervasiveSystem(SystemConfig(
-        n_processes=args.n, seed=args.seed, delay=_delay(args.delta),
+        n_processes=args.n, seed=args.seed, delay=delay_model(args.delta),
         clocks=ClockConfig.everything(),
     ))
     store = RecordStore()
@@ -239,9 +230,6 @@ def cmd_clocks(args) -> int:
 # ---------------------------------------------------------------------------
 # Observability
 # ---------------------------------------------------------------------------
-
-OBS_SCENARIOS = ("smart_office", "hall", "hospital", "habitat")
-
 
 def _build_obs_scenario(name: str, args):
     """Build (scenario, predicate, initials) for an instrumented run.
@@ -323,42 +311,59 @@ def cmd_obs_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sidecar_paths(out: str) -> "tuple[str, str]":
-    """(partial rows JSONL, quarantine JSONL) for a supervised --out."""
-    return f"{out}.partial.jsonl", f"{out}.quarantine.jsonl"
+def _run_grid(tasks, *, out: str, args, matrix: str, master_seed: int,
+              reps: "int | None" = None):
+    """Resume, run and write one sweep-shaped command's tasks.
 
+    Tasks run on :class:`~repro.recover.SupervisedPool` under
+    ``--workers`` / ``--timeout`` / ``--retries``.  Completed rows are
+    durably appended to ``<out>.partial.jsonl`` as they land (so a
+    killed parent resumes from disk, with ``--resume``); poisoned tasks
+    go to ``<out>.quarantine.jsonl``.  Once every row is in the
+    atomically written ``out``, the partial sidecar is removed.
 
-def _run_supervised(tasks, *, out: str, args, registry):
-    """Run tasks on the supervised worker plane.
-
-    Completed rows are durably appended to ``<out>.partial.jsonl`` as
-    they land (so a killed parent resumes from disk); poisoned tasks go
-    to ``<out>.quarantine.jsonl``.  Returns the SupervisedReport.
+    Returns ``(rows, n_cached, n_failed, registry, path, exit_code)``;
+    the exit code is 130 when interrupted, 1 when a row failed or a
+    task was quarantined, else 0.
     """
     import json as _json
+    from pathlib import Path
 
+    from repro.obs import MetricsRegistry
     from repro.recover import SupervisedPool, SupervisePolicy
+    from repro.sweep import (
+        partition_resumable,
+        read_completed_rows,
+        write_sweep_jsonl,
+    )
     from repro.util.atomicio import durable_append_lines
 
-    partial, quarantine = _sidecar_paths(out)
+    partial = Path(f"{out}.partial.jsonl")
+    quarantine = f"{out}.quarantine.jsonl"
+    cached: list = []
+    if args.resume:
+        completed = read_completed_rows(out)
+        completed.update(read_completed_rows(partial))
+        tasks, cached = partition_resumable(tasks, completed)
+        if cached:
+            print(f"resume: {len(cached)} point(s) already in {out}, "
+                  f"{len(tasks)} to run")
 
     def on_row(row):
         durable_append_lines(partial, [_json.dumps(row, sort_keys=True)])
 
-    pool = SupervisedPool(
+    registry = MetricsRegistry()
+    report = SupervisedPool(
         workers=args.workers,
-        policy=SupervisePolicy(
-            timeout_s=args.timeout, max_retries=args.retries,
-        ),
-        seed=args.seed if hasattr(args, "seed") else 0,
+        policy=SupervisePolicy(timeout_s=args.timeout, max_retries=args.retries),
+        seed=getattr(args, "seed", 0),
         registry=registry,
         quarantine_path=quarantine,
         on_row=on_row,
-    )
-    report = pool.run(tasks)
-    if report.quarantined or report.status != "ok":
+    ).run(tasks)
+    if report.status != "ok":
         spec = report.to_spec()
-        print(f"supervised plane: status={spec['status']} "
+        print(f"worker plane: status={spec['status']} "
               f"retries={spec['retries']} timeouts={spec['timeouts']} "
               f"worker_deaths={spec['worker_deaths']} "
               f"skipped={spec['skipped']}", file=sys.stderr)
@@ -366,23 +371,17 @@ def _run_supervised(tasks, *, out: str, args, registry):
             print(f"  quarantined task {q['index']} {q['params']}: "
                   f"{q['reason']} ({q['attempts']} attempt(s)) "
                   f"-> {quarantine}", file=sys.stderr)
-    return report
-
-
-def _drop_partial_sidecar(out: str) -> None:
-    """Remove ``<out>.partial.jsonl`` once its rows are merged into
-    the atomically-written --out (they are now durable there)."""
-    import os as _os
-
-    partial, _ = _sidecar_paths(out)
-    if _os.path.exists(partial):
-        _os.unlink(partial)
-
-
-def _supervised_exit(report, failed: int) -> int:
+    rows = sorted(report.rows + cached, key=lambda r: r["index"])
+    path = write_sweep_jsonl(
+        out, rows, matrix=matrix, master_seed=master_seed, reps=reps,
+    )
+    partial.unlink(missing_ok=True)
+    failed = sum(1 for r in rows if "error" in r)
     if report.status == "interrupted":
-        return 130
-    return 1 if (failed or report.status == "degraded") else 0
+        code = 130
+    else:
+        code = 1 if (failed or report.status == "degraded") else 0
+    return rows, len(cached), failed, registry, path, code
 
 
 def cmd_sweep(args) -> int:
@@ -391,8 +390,7 @@ def cmd_sweep(args) -> int:
     The JSONL output is byte-identical for any ``--workers`` value —
     the determinism contract of :mod:`repro.sweep`.
     """
-    from repro.obs import MetricsRegistry
-    from repro.sweep import SweepRunner, expand_matrix, write_sweep_jsonl
+    from repro.sweep import expand_matrix
     from repro.sweep.points import MATRICES
 
     if args.list_matrices:
@@ -410,47 +408,19 @@ def cmd_sweep(args) -> int:
               f"(have {', '.join(sorted(MATRICES))})", file=sys.stderr)
         return 2
     tasks = expand_matrix(spec, master_seed=args.seed, reps=args.reps)
-    out = args.out or f"sweep_{spec.name}.jsonl"
-    cached: list = []
-    if args.resume:
-        from repro.sweep import partition_resumable, read_completed_rows
-
-        completed = read_completed_rows(out)
-        # A supervised run streams rows to a partial sidecar before the
-        # final file lands — a killed run resumes from both.
-        completed.update(read_completed_rows(_sidecar_paths(out)[0]))
-        tasks, cached = partition_resumable(tasks, completed)
-        if cached:
-            print(f"resume: {len(cached)} point(s) already in {out}, "
-                  f"{len(tasks)} to run")
-    registry = MetricsRegistry()
-    report = None
-    if args.supervised:
-        report = _run_supervised(tasks, out=out, args=args, registry=registry)
-        rows = sorted(report.rows + cached, key=lambda r: r["index"])
-        workers = args.workers
-    else:
-        runner = SweepRunner(workers=args.workers, registry=registry)
-        rows = sorted(runner.run(tasks) + cached, key=lambda r: r["index"])
-        workers = runner.workers
-    path = write_sweep_jsonl(
-        out, rows, matrix=spec.name, master_seed=args.seed,
-        reps=args.reps or spec.reps,
+    rows, n_cached, failed, registry, path, code = _run_grid(
+        tasks, out=args.out or f"sweep_{spec.name}.jsonl", args=args,
+        matrix=spec.name, master_seed=args.seed, reps=args.reps or spec.reps,
     )
-    _drop_partial_sidecar(out)
-    failed = sum(1 for r in rows if "error" in r)
     wall = registry.histogram("sweep.task_wall_s")
-    print(f"{len(rows)} tasks ({failed} failed, {len(cached)} cached), "
-          f"{workers} worker(s), "
+    print(f"{len(rows)} tasks ({failed} failed, {n_cached} cached), "
+          f"{args.workers} worker(s), "
           f"task wall mean={wall.mean:.3f}s max={wall.max:.3f}s -> {path}")
-    if failed:
-        for r in rows:
-            if "error" in r:
-                print(f"  task {r['index']} {r['params']}: {r['error']}",
-                      file=sys.stderr)
-    if report is not None:
-        return _supervised_exit(report, failed)
-    return 1 if failed else 0
+    for r in rows:
+        if "error" in r:
+            print(f"  task {r['index']} {r['params']}: {r['error']}",
+                  file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -858,11 +828,11 @@ def cmd_replay_matrix(args) -> int:
     """Fan one trace across a grid of time-model swaps (repro.sweep).
 
     Output JSONL is byte-identical for any --workers value.
-    Exit codes: 0 all points computed, 1 some points failed, 2 usage.
+    Exit codes: 0 all points computed, 1 some points failed or were
+    quarantined, 2 usage, 130 interrupted.
     """
-    from repro.obs import MetricsRegistry
     from repro.replay import matrix_spec
-    from repro.sweep import SweepRunner, expand_matrix, write_sweep_jsonl
+    from repro.sweep import expand_matrix
 
     families = tuple(
         s for chunk in (args.clock_families or []) for s in chunk.split(",") if s
@@ -883,32 +853,12 @@ def cmd_replay_matrix(args) -> int:
         print(f"repro replay matrix: {exc}", file=sys.stderr)
         return 2
     tasks = expand_matrix(spec, master_seed=0)
-    out = args.out or f"{args.trace}.matrix.jsonl"
-    cached: list = []
-    if args.resume:
-        from repro.sweep import partition_resumable, read_completed_rows
-
-        completed = read_completed_rows(out)
-        completed.update(read_completed_rows(_sidecar_paths(out)[0]))
-        tasks, cached = partition_resumable(tasks, completed)
-        if cached:
-            print(f"resume: {len(cached)} point(s) already in {out}, "
-                  f"{len(tasks)} to run")
-    registry = MetricsRegistry()
-    report = None
-    if args.supervised:
-        report = _run_supervised(tasks, out=out, args=args, registry=registry)
-        rows = sorted(report.rows + cached, key=lambda r: r["index"])
-        workers = args.workers
-    else:
-        runner = SweepRunner(workers=args.workers, registry=registry)
-        rows = sorted(runner.run(tasks) + cached, key=lambda r: r["index"])
-        workers = runner.workers
-    path = write_sweep_jsonl(out, rows, matrix=spec.name, master_seed=0)
-    _drop_partial_sidecar(out)
-    failed = sum(1 for r in rows if "error" in r)
+    rows, n_cached, failed, _, path, code = _run_grid(
+        tasks, out=args.out or f"{args.trace}.matrix.jsonl", args=args,
+        matrix=spec.name, master_seed=0,
+    )
     print(f"{len(rows)} counterfactual(s) ({failed} failed, "
-          f"{len(cached)} cached), {workers} worker(s) -> {path}")
+          f"{n_cached} cached), {args.workers} worker(s) -> {path}")
     for r in rows:
         if "error" in r:
             print(f"  point {r['index']} {r['params']}: {r['error']}",
@@ -918,9 +868,7 @@ def cmd_replay_matrix(args) -> int:
             axes = {k: v for k, v in r["params"].items() if k != "trace"}
             print(f"  {axes}: kept={res['kept']} appeared={res['appeared']} "
                   f"disappeared={res['disappeared']}")
-    if report is not None:
-        return _supervised_exit(report, failed)
-    return 1 if failed else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -1094,18 +1042,13 @@ def cmd_chaos(args) -> int:
     Exit codes: 0 ripple check passed, 1 failed (a mismatch before the
     first fault or beyond the ripple horizon), 2 usage error.
     """
-    from repro.faults import FaultError, FaultPlan, default_plan, report_json, run_chaos
+    from repro.faults import report_json, run_chaos
 
-    if args.plan == "default":
-        plan = default_plan()
-    else:
-        try:
-            with open(args.plan, encoding="utf-8") as fh:
-                plan = FaultPlan.from_json(fh.read())
-        except (OSError, ValueError, FaultError) as exc:
-            print(f"repro chaos: cannot load plan {args.plan!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+    try:
+        plan = _load_plan(args.plan)
+    except ValueError as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return 2
     report = run_chaos(
         args.scenario, seed=args.seed, duration=args.duration,
         plan=plan, ripple_horizon=args.horizon,

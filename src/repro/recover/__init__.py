@@ -9,12 +9,13 @@ Three robustness layers over the deterministic core:
   windows).  ``restore`` re-derives the prefix from the manifest and
   proves the recomputed snapshot matches before continuing, so a
   resumed run is byte-identical to an uninterrupted one.
-* :mod:`repro.recover.supervisor` — a supervised worker plane shared
-  by ``repro sweep`` and ``repro replay matrix``: per-task wall
-  timeouts, bounded retries with seeded deterministic backoff, worker
-  death detection, poison-task quarantine, and graceful SIGINT/SIGTERM
-  drain.  Infrastructure failure degrades the run (explicit
-  ``degraded`` report) instead of poisoning it.
+* :mod:`repro.recover.supervisor` — the one worker plane behind
+  ``repro sweep`` and ``repro replay matrix``: reused spawned workers
+  (or inline execution), per-task wall timeouts, bounded retries with
+  seeded deterministic backoff, worker death detection, poison-task
+  quarantine, and graceful SIGINT/SIGTERM drain.  Infrastructure
+  failure degrades the run (explicit ``degraded`` report) instead of
+  poisoning it.
 * :mod:`repro.recover.wal` — a write-ahead-logged streaming detector
   (``repro serve --wal``) that survives ``kill -9`` with byte-identical
   resumed detections.

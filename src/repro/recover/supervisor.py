@@ -1,13 +1,20 @@
-"""Supervised worker plane for sweep-shaped workloads.
+"""The worker plane for sweep-shaped workloads.
 
-``SweepRunner``'s pool assumes infrastructure is reliable: a worker
-that hangs stalls ``pool.map`` forever, a worker the OS kills takes
-the whole sweep down, and nothing is written until every task is done.
-:class:`SupervisedPool` runs the same spawn-safe
-:class:`~repro.sweep.tasks.SweepTask` descriptors under supervision:
+:class:`SupervisedPool` runs spawn-safe
+:class:`~repro.sweep.tasks.SweepTask` descriptors and merges their rows
+**in task-index order** regardless of completion order.  Combined with
+per-task seeds derived from the task's coordinates (not its schedule),
+this gives the contract the tests pin:
 
-* one spawned process per in-flight task, watched against a per-task
-  wall deadline — a hung task is killed, not waited on;
+    the sweep JSONL is byte-identical for any worker count.
+
+Around that contract it supervises the host:
+
+* ``workers == 1`` without a deadline runs every task inline in the
+  calling process; any other setting runs tasks on up to ``workers``
+  spawned processes that are reused across tasks.  Each worker holds
+  one task at a time, watched against a per-task wall deadline from
+  dispatch — a hung task's worker is killed and replaced, not waited on;
 * worker death (killed, OOMed, segfaulted) is detected by exit without
   a result and treated like a timeout;
 * infrastructure failures are retried up to ``max_retries`` times with
@@ -22,24 +29,31 @@ the whole sweep down, and nothing is written until every task is done.
   tasks finish (bounded by a grace deadline), report status
   ``interrupted``.
 
+``spawn`` (not ``fork``) is used deliberately: workers re-import the
+task's module and rebuild all state from ``(params, seed)``, so a sweep
+can never silently depend on parent-process globals — the same
+reasoning as the SIM002 lint rule, applied to processes.
+
 In-task exceptions are *not* retried: ``execute_task`` already
 converts them to deterministic ``error`` rows, and a deterministic
 failure would fail identically on every retry.  Only the
 infrastructure failures above are supervision's business.
 
 Everything wall-clock here (deadlines, backoff sleeps) is supervision
-of the *host* machine, never model input: rows stay byte-identical to
-an unsupervised run (E2E-pinned), which is why wall readings below
-carry SIM001 waivers.
+of the *host* machine, never model input: rows are byte-identical
+whether they ran inline or on workers (E2E-pinned), which is why wall
+readings below carry SIM001 waivers.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -47,7 +61,7 @@ import numpy as np
 
 from repro.obs.registry import restore_snapshot
 from repro.sim.rng import substream_seed
-from repro.sweep.tasks import SweepTask, execute_task
+from repro.sweep.tasks import SweepTask, execute_task, serve_tasks
 from repro.util.atomicio import durable_append_lines
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class SupervisePolicy:
-    """Knobs of the supervised plane.
+    """Knobs of the worker plane.
 
     ``timeout_s=None`` disables per-task deadlines (a drain still
     imposes ``drain_grace_s`` so an interrupt cannot hang forever).
@@ -88,7 +102,7 @@ class SupervisePolicy:
 
 @dataclass
 class SupervisedReport:
-    """Outcome of one supervised run.
+    """Outcome of one run.
 
     ``status`` is ``"ok"`` (every task produced a row), ``"degraded"``
     (some tasks quarantined; their rows are absent) or
@@ -115,25 +129,19 @@ class SupervisedReport:
         }
 
 
-def _supervised_worker(task: SweepTask, out_queue: Any) -> None:
-    """Worker entry point (module-level: must pickle into spawn)."""
-    out_queue.put(execute_task(task))
+@dataclass
+class _Attempt:
+    task: SweepTask
+    attempt: int
+    not_before: float = 0.0
 
 
 @dataclass
-class _InFlight:
-    task: SweepTask
-    attempt: int
+class _Worker:
     proc: Any
-    queue: Any
-    deadline: "float | None"
-
-
-@dataclass
-class _Pending:
-    task: SweepTask
-    attempt: int
-    not_before: float
+    conn: Any
+    job: "_Attempt | None" = None
+    deadline: "float | None" = None
 
 
 class SupervisedPool:
@@ -142,24 +150,26 @@ class SupervisedPool:
     Parameters
     ----------
     workers:
-        Maximum concurrently spawned task processes.
+        Maximum worker processes, each reused across tasks.  ``1``
+        without a ``policy.timeout_s`` runs tasks inline instead (no
+        process, no pickling); output is identical either way.
     policy:
         The :class:`SupervisePolicy` in force.
     seed:
         Supervisor seed for deterministic backoff jitter (independent
         of every task's own model seed).
     registry:
-        Optional obs registry; reports ``supervisor.retries`` /
-        ``timeouts`` / ``worker_deaths`` / ``quarantined`` counters and
-        merges worker-side metric snapshots like ``SweepRunner``.
+        Optional obs registry; reports ``sweep.tasks_submitted`` /
+        ``tasks_completed`` / ``tasks_failed`` counters, the
+        ``sweep.task_wall_s`` histogram and ``supervisor.retries`` /
+        ``timeouts`` / ``worker_deaths`` / ``quarantined`` counters,
+        and merges worker-side metric snapshots in task-index order.
     quarantine_path:
         Sidecar JSONL receiving one durable line per poisoned task.
     on_row:
         Callback invoked with each completed row *as it completes*
         (completion order); used for durable incremental appends.
     """
-
-    _POLL_S = 0.02
 
     def __init__(
         self,
@@ -182,24 +192,33 @@ class SupervisedPool:
         )
         self._on_row = on_row
         self._interrupted = False
-        self._m_retries = self._m_timeouts = None
-        self._m_deaths = self._m_quarantined = self._m_wall = None
+        self._wake_w: "int | None" = None
+        self._snapshots: list[tuple[int, dict[str, Any]]] = []
+        self._m: dict[str, Any] = {}
         if registry is not None:
-            self._m_retries = registry.counter("supervisor.retries")
-            self._m_timeouts = registry.counter("supervisor.timeouts")
-            self._m_deaths = registry.counter("supervisor.worker_deaths")
-            self._m_quarantined = registry.counter("supervisor.quarantined")
-            # Same histogram SweepRunner feeds, so sweep dashboards and
-            # the CLI summary line read identically either way.
-            self._m_wall = registry.histogram("sweep.task_wall_s")
+            self._m = {
+                name: registry.counter(name) for name in (
+                    "sweep.tasks_submitted", "sweep.tasks_completed",
+                    "sweep.tasks_failed", "supervisor.retries",
+                    "supervisor.timeouts", "supervisor.worker_deaths",
+                    "supervisor.quarantined",
+                )
+            }
+            self._m["sweep.task_wall_s"] = registry.histogram("sweep.task_wall_s")
 
     # ------------------------------------------------------------------
+    def _count(self, name: str, n: int = 1) -> None:
+        if name in self._m:
+            self._m[name].inc(n)
+
     def _request_drain(self, signum: int, frame: Any) -> None:
-        del frame
+        del signum, frame
         self._interrupted = True
+        if self._wake_w is not None:
+            os.write(self._wake_w, b"\0")  # wake the pool out of wait()
 
     def _quarantine(
-        self, report: SupervisedReport, entry: _InFlight | _Pending, reason: str
+        self, report: SupervisedReport, entry: _Attempt, reason: str
     ) -> None:
         record = {
             "kind": "quarantine",
@@ -211,8 +230,7 @@ class SupervisedPool:
             "attempts": entry.attempt + 1,
         }
         report.quarantined.append(record)
-        if self._m_quarantined is not None:
-            self._m_quarantined.inc()
+        self._count("supervisor.quarantined")
         if self._quarantine_path is not None:
             durable_append_lines(
                 self._quarantine_path,
@@ -221,157 +239,210 @@ class SupervisedPool:
 
     def _complete(self, report: SupervisedReport, out: dict[str, Any]) -> None:
         row = out["row"]
-        if self._m_wall is not None and "wall_s" in out:
-            self._m_wall.observe(out["wall_s"])
-        metrics = out.get("metrics")
-        if metrics and self._registry is not None:
-            self._registry.merge(restore_snapshot(metrics))
+        if "sweep.task_wall_s" in self._m:
+            self._m["sweep.task_wall_s"].observe(out["wall_s"])
+        self._count("sweep.tasks_failed" if "error" in row else "sweep.tasks_completed")
+        if out.get("metrics") and self._registry is not None:
+            self._snapshots.append((row["index"], out["metrics"]))
         if self._on_row is not None:
             self._on_row(row)
         report.rows.append(row)
 
-    def _reap(self, entry: _InFlight) -> None:
-        """Make sure a worker process and its queue are fully gone."""
-        if entry.proc.is_alive():
-            entry.proc.kill()
-        entry.proc.join(timeout=5.0)
-        entry.queue.close()
-
     def _retry_or_quarantine(
         self,
         report: SupervisedReport,
-        pending: "list[_Pending]",
-        entry: _InFlight,
+        pending: "list[_Attempt]",
+        entry: _Attempt,
         reason: str,
         now: float,
     ) -> None:
         if entry.attempt < self._policy.max_retries and not self._interrupted:
             report.retries += 1
-            if self._m_retries is not None:
-                self._m_retries.inc()
+            self._count("supervisor.retries")
             delay = self._policy.backoff_s(
                 self._seed, entry.task.index, entry.attempt
             )
-            pending.append(
-                _Pending(entry.task, entry.attempt + 1, now + delay)
-            )
+            pending.append(_Attempt(entry.task, entry.attempt + 1, now + delay))
         else:
             self._quarantine(report, entry, reason)
 
     # ------------------------------------------------------------------
     def run(self, tasks: Iterable[SweepTask]) -> SupervisedReport:
         """Execute all tasks; always returns a report (never raises for
-        task- or worker-level failure)."""
-        ctx = multiprocessing.get_context("spawn")
+        task- or worker-level failure).  Rows are sorted by task index."""
+        todo = list(tasks)
         report = SupervisedReport(status="ok")
-        pending: list[_Pending] = [
-            _Pending(t, 0, 0.0) for t in tasks
-        ]
-        total = len(pending)
-        in_flight: list[_InFlight] = []
+        self._interrupted = False
+        self._snapshots = []
+        self._count("sweep.tasks_submitted", len(todo))
         previous: list[tuple[int, Any]] = []
         try:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 previous.append((signum, signal.signal(signum, self._request_drain)))
         except ValueError:  # not the main thread (tests, embedding)
             previous = []
-        drain_deadline: "float | None" = None
         try:
-            while pending or in_flight:
-                now = time.monotonic()  # repro: noqa SIM001 -- host supervision deadline, never model input
-                if self._interrupted:
-                    if pending:
-                        report.skipped += len(pending)
-                        pending = []
-                    if drain_deadline is None:
-                        drain_deadline = now + self._policy.drain_grace_s
-                # Launch while slots are free and tasks are ready.
-                while pending and len(in_flight) < self._workers:
-                    ready = [p for p in pending if p.not_before <= now]
-                    if not ready:
+            if self._workers == 1 and self._policy.timeout_s is None:
+                for n, task in enumerate(todo):
+                    if self._interrupted:
+                        report.skipped += len(todo) - n
                         break
-                    nxt = min(ready, key=lambda p: (p.not_before, p.task.index))
-                    pending.remove(nxt)
-                    q = ctx.Queue(1)
-                    proc = ctx.Process(
-                        target=_supervised_worker, args=(nxt.task, q)
-                    )
-                    proc.start()
-                    deadline = None
-                    if self._policy.timeout_s is not None:
-                        deadline = now + self._policy.timeout_s
-                    in_flight.append(
-                        _InFlight(nxt.task, nxt.attempt, proc, q, deadline)
-                    )
-                # Poll in-flight workers.
-                still: list[_InFlight] = []
-                for entry in in_flight:
-                    out = None
-                    try:
-                        out = entry.queue.get_nowait()
-                    except Exception:  # noqa: BLE001 -- queue.Empty and EOF alike mean "no result yet"
-                        out = None
-                    if out is None and entry.proc.exitcode is not None:
-                        # The process exited; give its queue feeder a
-                        # moment to deliver a result already in the pipe
-                        # before declaring the worker dead.
-                        try:
-                            out = entry.queue.get(timeout=0.25)
-                        except Exception:  # noqa: BLE001
-                            out = None
-                    if out is not None:
-                        self._reap(entry)
-                        self._complete(report, out)
-                        continue
-                    if entry.proc.exitcode is not None:
-                        self._reap(entry)
-                        report.worker_deaths += 1
-                        if self._m_deaths is not None:
-                            self._m_deaths.inc()
-                        self._retry_or_quarantine(
-                            report, pending, entry,
-                            f"worker died (exit code {entry.proc.exitcode}) "
-                            f"without producing a result",
-                            now,
-                        )
-                        continue
-                    effective_deadline = entry.deadline
-                    if drain_deadline is not None:
-                        effective_deadline = (
-                            drain_deadline if effective_deadline is None
-                            else min(effective_deadline, drain_deadline)
-                        )
-                    if effective_deadline is not None and now > effective_deadline:
-                        by_drain = drain_deadline is not None and (
-                            entry.deadline is None
-                            or drain_deadline <= entry.deadline
-                        )
-                        self._reap(entry)
-                        report.timeouts += 1
-                        if self._m_timeouts is not None:
-                            self._m_timeouts.inc()
-                        self._retry_or_quarantine(
-                            report, pending, entry,
-                            "killed during interrupt drain" if by_drain
-                            else f"timed out after {self._policy.timeout_s}s wall",
-                            now,
-                        )
-                        continue
-                    still.append(entry)
-                in_flight = still
-                if pending or in_flight:
-                    time.sleep(self._POLL_S)  # repro: noqa SIM001 -- host poll pacing, never model input
+                    self._complete(report, execute_task(task))
+            else:
+                self._run_workers(todo, report)
         finally:
-            for entry in in_flight:
-                self._reap(entry)
             for signum, handler in previous:
                 signal.signal(signum, handler)
+        # Merge worker-side metrics in task-index order, so the parent
+        # registry does not depend on completion order.
+        for _, snapshot in sorted(self._snapshots, key=lambda s: s[0]):
+            self._registry.merge(restore_snapshot(snapshot))
         report.rows.sort(key=lambda r: r["index"])
         if self._interrupted:
             report.status = "interrupted"
-        elif report.quarantined or len(report.rows) < total:
+        elif report.quarantined or len(report.rows) < len(todo):
             report.status = "degraded"
         return report
+
+    def _run_workers(self, todo: "list[SweepTask]", report: SupervisedReport) -> None:
+        ctx = multiprocessing.get_context("spawn")
+        pending = [_Attempt(t, 0) for t in todo]
+        workers: list[_Worker] = []
+        drain_deadline: "float | None" = None
+        wake_r, self._wake_w = os.pipe()
+        try:
+            while True:
+                now = time.monotonic()  # repro: noqa SIM001 -- host supervision deadline, never model input
+                if self._interrupted:
+                    report.skipped += len(pending)
+                    pending = []
+                    if drain_deadline is None:
+                        drain_deadline = now + self._policy.drain_grace_s
+                self._dispatch(ctx, pending, workers, now)
+                busy = [w for w in workers if w.job is not None]
+                if not busy and not pending:
+                    return
+                # Block until a result, a worker exit, a signal, the
+                # nearest deadline or the nearest backoff expiry.
+                wake = [d for w in busy if (d := self._deadline(w, drain_deadline)) is not None]
+                if pending and (len(busy) < self._workers):
+                    wake.append(min(p.not_before for p in pending))
+                objs: list[Any] = [w.conn for w in busy] + [w.proc.sentinel for w in busy]
+                if not self._interrupted:
+                    objs.append(wake_r)
+                wait(objs, None if not wake else max(0.0, min(wake) - now))
+                now = time.monotonic()  # repro: noqa SIM001 -- host supervision deadline, never model input
+                for w in busy:
+                    self._settle(report, pending, workers, w, now, drain_deadline)
+        finally:
+            self._shutdown(workers)
+            os.close(wake_r)
+            os.close(self._wake_w)
+            self._wake_w = None
+
+    def _deadline(self, w: _Worker, drain_deadline: "float | None") -> "float | None":
+        if drain_deadline is None:
+            return w.deadline
+        return drain_deadline if w.deadline is None else min(w.deadline, drain_deadline)
+
+    def _dispatch(
+        self, ctx: Any, pending: "list[_Attempt]", workers: "list[_Worker]", now: float
+    ) -> None:
+        """Hand ready tasks (lowest index first) to idle or new workers."""
+        while pending:
+            idle = next((w for w in workers if w.job is None), None)
+            if idle is not None and not idle.proc.is_alive():
+                self._retire(workers, idle)  # died while idle: not a task's fault
+                continue
+            if idle is None and len(workers) >= self._workers:
+                return
+            ready = [p for p in pending if p.not_before <= now]
+            if not ready:
+                return
+            nxt = min(ready, key=lambda p: (p.not_before, p.task.index))
+            if idle is None:
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=serve_tasks, args=(child,))
+                proc.start()
+                child.close()
+                idle = _Worker(proc, conn)
+                workers.append(idle)
+            pending.remove(nxt)
+            idle.conn.send(nxt.task)
+            idle.job = nxt
+            if self._policy.timeout_s is not None:
+                idle.deadline = now + self._policy.timeout_s
+
+    def _settle(
+        self,
+        report: SupervisedReport,
+        pending: "list[_Attempt]",
+        workers: "list[_Worker]",
+        w: _Worker,
+        now: float,
+        drain_deadline: "float | None",
+    ) -> None:
+        """Collect ``w``'s result, or fail its task if it died or ran
+        past its deadline; otherwise leave it running."""
+        alive = w.proc.is_alive()  # read first: a result sent before death is in the pipe
+        out = None
+        if w.conn.poll():
+            try:
+                out = w.conn.recv()
+            except (EOFError, OSError):
+                out = None
+        entry = w.job
+        assert entry is not None
+        if out is not None:
+            w.job = w.deadline = None
+            self._complete(report, out)
+            if not alive:
+                self._retire(workers, w)
+            return
+        if not alive:
+            self._retire(workers, w)
+            report.worker_deaths += 1
+            self._count("supervisor.worker_deaths")
+            self._retry_or_quarantine(
+                report, pending, entry,
+                f"worker died (exit code {w.proc.exitcode}) "
+                f"without producing a result",
+                now,
+            )
+            return
+        deadline = self._deadline(w, drain_deadline)
+        if deadline is not None and now >= deadline:
+            by_drain = drain_deadline is not None and deadline == drain_deadline
+            self._retire(workers, w)
+            report.timeouts += 1
+            self._count("supervisor.timeouts")
+            self._retry_or_quarantine(
+                report, pending, entry,
+                "killed during interrupt drain" if by_drain
+                else f"timed out after {self._policy.timeout_s}s wall",
+                now,
+            )
+
+    def _retire(self, workers: "list[_Worker]", w: _Worker) -> None:
+        """Kill (if needed) and reap one worker; it will not be reused."""
+        if w.proc.is_alive():
+            w.proc.kill()
+        w.proc.join(timeout=5.0)
+        w.conn.close()
+        workers.remove(w)
+
+    def _shutdown(self, workers: "list[_Worker]") -> None:
+        """Stop every worker: ``None`` to all idle ones first, then join."""
+        for w in workers:
+            if w.job is None:
+                try:
+                    w.conn.send(None)
+                except OSError:
+                    pass
+        for w in list(workers):
+            if w.job is None:
+                w.proc.join(timeout=5.0)
+            self._retire(workers, w)
 
 
 __all__ = ["SupervisePolicy", "SupervisedPool", "SupervisedReport"]

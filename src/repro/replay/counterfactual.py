@@ -346,13 +346,14 @@ def run_counterfactual(
     off); sensing, strobes, deliveries and detection are re-derived
     under the swapped model.  Returns the classified diff.
     """
-    from repro.replay.families import build_detector
-    from repro.scenarios.builders import build_scenario
+    from repro.replay.engine import (
+        ReplayEngine,
+        finalize_execution,
+        prepare_execution,
+    )
     from repro.sim.schedule import RecordedSchedule
-    from repro.trace import CausalGraph, FlightRecorder, instrument_trace
+    from repro.trace import CausalGraph
     from repro.trace.export import read_trace
-
-    from repro.replay.engine import ReplayEngine
 
     engine = ReplayEngine()
     manifest = engine.manifest_of(trace_path)
@@ -370,28 +371,13 @@ def run_counterfactual(
         )
 
     cf_manifest = spec.apply(manifest)
-    try:
-        scenario, phi, initials = build_scenario(
-            cf_manifest.scenario, seed=cf_manifest.seed, delta=cf_manifest.delta
-        )
-    except ValueError as exc:
-        raise ReplayError(str(exc)) from exc
-    system = scenario.system
-    recorder = FlightRecorder(system.sim, capacity=cf_manifest.capacity)
-    instrument_trace(system, recorder)
-    bound = build_detector(
-        cf_manifest, scenario, phi, initials, recorder=recorder, host=0
-    )
-    if cf_manifest.plan is not None:
-        from repro.faults import FaultInjector
-
-        FaultInjector(system, cf_manifest.plan).arm()
-    schedule = RecordedSchedule(trace.world)
-    schedule.arm(system.sim, system.world)
+    prepared = prepare_execution(cf_manifest)
+    system = prepared.system
+    RecordedSchedule(trace.world).arm(system.sim, system.world)
     # Generators stay off: the world plane is the recorded stream, so
     # we drive the kernel directly instead of scenario.run().
     system.run(until=cf_manifest.duration)
-    bound.finalize(end_time=cf_manifest.duration)
+    recorder = finalize_execution(prepared).recorder
 
     baseline_graph = CausalGraph(trace.events)
     cf_graph = CausalGraph(recorder.events())

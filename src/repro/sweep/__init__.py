@@ -2,7 +2,7 @@
 
 The subsystem turns ``(config, seed)`` replications of the repo's
 benchmarks and experiments into spawn-safe task lists and runs them on
-a process pool, with one load-bearing guarantee: **the collected
+a worker pool, with one load-bearing guarantee: **the collected
 output is byte-identical for any worker count** (see
 :mod:`repro.sweep.runner` for how the format enforces that).
 
@@ -11,15 +11,16 @@ Pieces:
 * :class:`SweepTask` / :func:`expand_matrix` — spawn-safe descriptors
   and cartesian-grid expansion with per-task ``substream_seed``
   derivation (:mod:`repro.sweep.tasks`);
-* :class:`SweepRunner` + the sweep JSONL reader/writer
-  (:mod:`repro.sweep.runner`);
+* the sweep JSONL reader/writer and resume helpers
+  (:mod:`repro.sweep.runner`); the pool that runs tasks is
+  :class:`repro.recover.SupervisedPool`, with its worker entry point
+  :func:`~repro.sweep.tasks.serve_tasks` in this package;
 * the sweep-point functions and named matrices behind the
   ``repro sweep`` CLI (:mod:`repro.sweep.points`).
 """
 
 from repro.sweep.runner import (
     FORMAT_VERSION,
-    SweepRunner,
     coordinate_digest,
     partition_resumable,
     read_completed_rows,
@@ -40,7 +41,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MatrixSpec",
     "SweepError",
-    "SweepRunner",
     "SweepTask",
     "coordinate_digest",
     "execute_task",

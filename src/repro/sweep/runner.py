@@ -1,10 +1,9 @@
-"""Process-parallel sweep execution with a determinism contract.
+"""The sweep JSONL format, resume and coordinate digests.
 
-:class:`SweepRunner` runs a list of :class:`~repro.sweep.tasks.SweepTask`
-descriptors either inline (``workers=1``) or on a ``spawn``-context
-process pool, and merges results **in task-index order** regardless of
-completion order.  Combined with per-task seeds derived from the task's
-coordinates (not its schedule), this gives the contract the tests pin:
+Rows come from :class:`~repro.recover.supervisor.SupervisedPool`,
+merged **in task-index order** regardless of completion order.
+Combined with per-task seeds derived from the task's coordinates (not
+its schedule), this gives the contract the tests pin:
 
     the sweep JSONL is byte-identical for any worker count.
 
@@ -16,99 +15,18 @@ Consequences baked into the format:
   order cannot leak;
 * the header line describes the matrix (name, master seed, task count)
   but not the execution (no worker count, no timestamps).
-
-``spawn`` (not ``fork``) is used deliberately: workers re-import the
-task's module and rebuild all state from ``(params, seed)``, so a sweep
-can never silently depend on parent-process globals — the same
-reasoning as the SIM002 lint rule, applied to processes.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.obs.registry import restore_snapshot
-from repro.sweep.tasks import SweepTask, execute_task
+from repro.sweep.tasks import SweepTask
 from repro.util.atomicio import atomic_write_text
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import MetricsRegistry
-
 FORMAT_VERSION = 1
-
-
-class SweepRunner:
-    """Run sweep tasks and collect rows in deterministic order.
-
-    Parameters
-    ----------
-    workers:
-        ``1`` runs every task inline in this process (no pool, no
-        pickling); ``> 1`` uses a spawn-context process pool.  Output
-        is identical either way.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; the
-        runner reports ``sweep.tasks_submitted`` / ``completed`` /
-        ``failed`` counters and a ``sweep.task_wall_s`` histogram.
-    """
-
-    def __init__(self, *, workers: int = 1, registry: "MetricsRegistry | None" = None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._workers = int(workers)
-        self._registry = registry
-        self._m_submitted = self._m_completed = self._m_failed = None
-        self._m_wall = None
-        if registry is not None:
-            self._m_submitted = registry.counter("sweep.tasks_submitted")
-            self._m_completed = registry.counter("sweep.tasks_completed")
-            self._m_failed = registry.counter("sweep.tasks_failed")
-            self._m_wall = registry.histogram("sweep.task_wall_s")
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    def run(self, tasks: Iterable[SweepTask]) -> list[dict[str, Any]]:
-        """Execute all tasks; return result rows sorted by task index."""
-        todo = list(tasks)
-        if self._m_submitted is not None:
-            self._m_submitted.inc(len(todo))
-        if self._workers == 1 or len(todo) <= 1:
-            outs = [execute_task(t) for t in todo]
-        else:
-            ctx = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=min(self._workers, len(todo)), mp_context=ctx
-            ) as pool:
-                outs = list(pool.map(execute_task, todo))
-        rows: list[dict[str, Any]] = []
-        for out in outs:
-            row = out["row"]
-            if self._m_wall is not None:
-                self._m_wall.observe(out["wall_s"])
-            if "error" in row:
-                if self._m_failed is not None:
-                    self._m_failed.inc()
-            elif self._m_completed is not None:
-                self._m_completed.inc()
-            # Fan worker-side metric snapshots into the parent registry
-            # (tasks that accept a `registry` kwarg report one); outs
-            # are walked in submission order, so the merge order is
-            # deterministic regardless of completion order.
-            metrics = out.get("metrics")
-            if metrics and self._registry is not None:
-                self._registry.merge(restore_snapshot(metrics))
-            rows.append(row)
-        # pool.map already preserves submission order; the sort makes
-        # the merge contract explicit and future-proofs against
-        # as-completed collection strategies.
-        rows.sort(key=lambda r: r["index"])
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +161,6 @@ def partition_resumable(
 
 
 __all__ = [
-    "SweepRunner",
     "sweep_jsonl_lines",
     "write_sweep_jsonl",
     "read_sweep_jsonl",

@@ -103,7 +103,7 @@ def _traceback_tail(exc: BaseException, *, frames: int = 5) -> list[str]:
 
 
 def execute_task(task: SweepTask) -> dict[str, Any]:
-    """Run one task (in the worker process, for ``workers > 1``).
+    """Run one task (inline, or in a worker via :func:`serve_tasks`).
 
     Returns ``{"row": <deterministic result row>, "wall_s": <float>}``
     plus, when the task function accepts a ``registry`` kwarg, a
@@ -147,6 +147,24 @@ def execute_task(task: SweepTask) -> dict[str, Any]:
         }
     out["wall_s"] = time.perf_counter() - t0
     return out
+
+
+def serve_tasks(conn: Any) -> None:
+    """Worker process entry point: run tasks from ``conn`` until ``None``.
+
+    The parent sends one task at a time and waits for its result, so a
+    worker holds at most one task.  SIGINT is ignored here: an
+    interrupt is the parent's cue to drain, and the task in hand should
+    finish.  A closed pipe (the parent died) ends the loop too.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while (task := conn.recv()) is not None:
+            conn.send(execute_task(task))
+    except (EOFError, OSError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -225,4 +243,5 @@ __all__ = [
     "resolve_ref",
     "execute_task",
     "expand_matrix",
+    "serve_tasks",
 ]

@@ -16,6 +16,11 @@ def ok(x: int, seed: int) -> dict:
     return {"x": x, "seed": seed, "y": x * 10 + seed % 10}
 
 
+def pid(x: int, seed: int) -> dict:
+    """A healthy task that reports which process ran it."""
+    return {"x": x, "seed": seed, "pid": os.getpid()}
+
+
 def boom(x: int, seed: int) -> dict:
     """A deterministic in-task failure (must NOT be retried)."""
     raise ValueError(f"boom x={x} seed={seed}")

@@ -120,12 +120,12 @@ def test_serve_survives_hard_kill_byte_identically(tmp_path):
 
 
 def test_supervised_sweep_flag_smoke(capsys, tmp_path, monkeypatch):
-    """--supervised completes a real (tiny) matrix and cleans up its
-    partial sidecar."""
+    """A sweep on worker processes completes a real (tiny) matrix and
+    cleans up its partial sidecar."""
     out = tmp_path / "matrix.jsonl"
     rc = main([
         "sweep", "detector_throughput", "--reps", "1",
-        "--supervised", "--workers", "2", "--out", str(out),
+        "--workers", "2", "--out", str(out),
     ])
     assert rc == 0
     assert out.exists()

@@ -10,7 +10,8 @@ from repro.clocks.physical import DriftModel, PhysicalClock
 from repro.clocks.sync import OnDemandSyncProtocol, PeriodicSyncProtocol
 from repro.lint.runtime import check_determinism
 from repro.sim.rng import RngRegistry
-from repro.sweep import SweepRunner, SweepTask
+from repro.recover import SupervisedPool
+from repro.sweep import SweepTask
 from repro.world.generators import PoissonProcess
 
 
@@ -54,9 +55,9 @@ def test_detector_point_rows_are_replay_stable():
         index=0, ref="repro.sweep.points:detector_throughput",
         params={"detector": "vector_strobe", "m": 120}, seed=17,
     )
-    runner = SweepRunner(workers=1)
-    first = runner.run([task])[0]
-    second = runner.run([task])[0]
+    pool = SupervisedPool(workers=1)
+    first = pool.run([task]).rows[0]
+    second = pool.run([task]).rows[0]
     assert "error" not in first
     assert first == second
     assert first["result"]["labels_digest"] == second["result"]["labels_digest"]
