@@ -231,21 +231,13 @@ def cmd_clocks(args) -> int:
 # Observability
 # ---------------------------------------------------------------------------
 
-def _build_obs_scenario(name: str, args):
-    """Build (scenario, predicate, initials) for an instrumented run.
-
-    Delegates to the shared profile registry so the CLI, the chaos
-    harness and ``repro.replay`` construct byte-identical systems.
-    """
-    from repro.scenarios.builders import build_scenario
-
-    return build_scenario(name, seed=args.seed, delta=args.delta)
-
-
 def cmd_obs_run(args) -> int:
-    """Run one scenario with full instrumentation; export the report."""
+    """Run one scenario with full instrumentation; export the report.
+
+    The run is wired as ``trace record`` wires it: a manifest with Δ
+    clamped at 0, the shared scenario profiles, and the online
+    ``vector_strobe`` clock family."""
     from repro.detect.lattice_detector import LatticeDetector
-    from repro.detect.online import OnlineVectorStrobeDetector
     from repro.lattice.lattice import LatticeExplosion
     from repro.obs import (
         Observability,
@@ -255,21 +247,29 @@ def cmd_obs_run(args) -> int:
         instrument_system,
         render_console,
     )
+    from repro.replay import RunManifest
+    from repro.replay.families import build_detector
+    from repro.scenarios.builders import build_scenario
 
-    scenario, phi, initials = _build_obs_scenario(args.scenario, args)
+    try:
+        manifest = RunManifest(
+            scenario=args.scenario, seed=args.seed, duration=args.duration,
+            delta=max(args.delta, 0.0),
+        )
+    except ValueError as exc:
+        print(f"repro obs run: {exc}", file=sys.stderr)
+        return 2
+    scenario, phi, initials = build_scenario(
+        manifest.scenario, seed=manifest.seed, delta=manifest.delta
+    )
     system = scenario.system
     obs = Observability(tracer=SpanTracer(system.sim))
     instrument_system(system, obs, sample_every=args.sample_every)
-
-    det = OnlineVectorStrobeDetector(
-        system.sim, phi, initials, delta=max(args.delta, 0.0),
-    )
+    det = build_detector(manifest, scenario, phi, initials).detector
     det.bind_obs(obs.registry)
-    scenario.attach_detector(det)
-    det.start()
 
     with obs.tracer.span("scenario.run", t=0.0, scenario=args.scenario):
-        scenario.run(args.duration)
+        scenario.run(manifest.duration)
     with obs.tracer.span("detector.finalize"):
         det.finalize()
 
@@ -284,8 +284,9 @@ def cmd_obs_run(args) -> int:
             obs.registry.counter("detect.lattice.explosions").inc()
 
     meta = {
-        "scenario": args.scenario, "seed": args.seed, "delta": args.delta,
-        "duration": args.duration, "predicate": str(phi),
+        "scenario": manifest.scenario, "seed": manifest.seed,
+        "delta": manifest.delta, "duration": manifest.duration,
+        "predicate": str(phi),
     }
     if args.export == "console":
         print(render_console(

@@ -32,43 +32,67 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.clocks.base import ClockError, StrobeClock, validate_pid
+from repro.clocks.base import ClockError, StrobeClock, T, validate_pid
 from repro.clocks.scalar import ScalarTimestamp
 from repro.clocks.vector import FASTPATH_MAX_N, VectorTimestamp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 
 #: Buckets for the catch-up (skew) histograms: how many ticks a merge
 #: advanced the local clock by — powers of two up to 2^10.
 _CATCHUP_BUCKETS = [0.0] + [float(2 ** k) for k in range(11)]
 
 
-class _StrobeObsMixin:
-    """Shared ``bind_obs`` for both strobe clock families.
+class _StrobeBase(StrobeClock[T]):
+    """What both strobe clock families share: the pid, the SVC1/SVC2
+    (SSC1/SSC2) invocation counters, and ``bind_obs``.
 
     All strobe clocks in a system share the same aggregate instruments
-    (``clock.strobe.*``); per-clock handles default to ``None`` so the
-    unbound hot path costs one ``is None`` test per protocol rule.
+    (``clock.strobe.*``).  The counts read the invocation counters; the
+    catch-up distribution and skew are pushed through handles that
+    default to ``None``, so the unbound hot path costs one ``is None``
+    test per strobe merge.
     """
 
-    _m_emitted: "Counter | None" = None
-    _m_merged: "Counter | None" = None
-    _m_payload: "Counter | None" = None
+    _pid: int
+    _relevant_events = 0
+    _strobes_received = 0
     _m_catchup: "Histogram | None" = None
     _m_skew: "Gauge | None" = None
 
+    @property
+    def pid(self) -> int:
+        return self._pid
+
+    @property
+    def relevant_events(self) -> int:
+        """Local SVC1/SSC1 invocations so far."""
+        return self._relevant_events
+
+    @property
+    def strobes_received(self) -> int:
+        """SVC2/SSC2 invocations so far."""
+        return self._strobes_received
+
     def bind_obs(self, registry: "MetricsRegistry") -> None:
-        self._m_emitted = registry.counter("clock.strobe.emitted")
-        self._m_merged = registry.counter("clock.strobe.merged")
-        self._m_payload = registry.counter("clock.strobe.payload_units")
+        size = self.strobe_size()
+        registry.counter("clock.strobe.emitted").read_from(
+            lambda: self._relevant_events
+        )
+        registry.counter("clock.strobe.merged").read_from(
+            lambda: self._strobes_received
+        )
+        registry.counter("clock.strobe.payload_units").read_from(
+            lambda: self._relevant_events * size
+        )
         self._m_catchup = registry.histogram(
             "clock.strobe.catchup", buckets=_CATCHUP_BUCKETS
         )
         self._m_skew = registry.gauge("clock.strobe.skew")
 
 
-class StrobeVectorClock(_StrobeObsMixin, StrobeClock[VectorTimestamp]):
+class StrobeVectorClock(_StrobeBase[VectorTimestamp]):
     """Strobe vector clock (rules SVC1–SVC2).
 
     Examples
@@ -92,50 +116,29 @@ class StrobeVectorClock(_StrobeObsMixin, StrobeClock[VectorTimestamp]):
             self._v = [0] * self._n
         else:
             self._v = np.zeros(n, dtype=np.int64)
-        self._relevant_events = 0
-        self._strobes_received = 0
-
-    @property
-    def pid(self) -> int:
-        return self._pid
 
     @property
     def n(self) -> int:
         return self._n
 
-    @property
-    def relevant_events(self) -> int:
-        """Local SVC1 invocations so far."""
-        return self._relevant_events
-
-    @property
-    def strobes_received(self) -> int:
-        """SVC2 invocations so far."""
-        return self._strobes_received
-
     def on_relevant_event(self) -> VectorTimestamp:
         """SVC1: tick own component; return the strobe to broadcast."""
         self._v[self._pid] += 1
         self._relevant_events += 1
-        if self._m_emitted is not None:
-            assert self._m_payload is not None
-            self._m_emitted.inc()
-            self._m_payload.inc(self._n)
         return self.read()
 
     def on_strobe(self, strobe: VectorTimestamp) -> VectorTimestamp:
         """SVC2: component-wise max merge; **no** local tick."""
         if strobe.n != self._n:
             raise ClockError(f"strobe width mismatch: {self._n} vs {strobe.n}")
-        if self._m_merged is not None:
-            assert self._m_catchup is not None and self._m_skew is not None
+        if self._m_catchup is not None:
+            assert self._m_skew is not None
             # Catch-up: total ticks this merge advances the local view by.
             gain = sum(
                 r - x for r, x in zip(strobe.as_tuple(), self._v) if r > x
             )
             self._m_catchup.observe(gain)
             self._m_skew.set(gain)
-            self._m_merged.inc()
         if self._small:
             v = self._v
             for k, r in enumerate(strobe.as_tuple()):
@@ -180,7 +183,7 @@ class StrobeVectorClock(_StrobeObsMixin, StrobeClock[VectorTimestamp]):
         return f"StrobeVectorClock(pid={self._pid}, v={tuple(int(x) for x in self._v)})"
 
 
-class StrobeScalarClock(_StrobeObsMixin, StrobeClock[ScalarTimestamp]):
+class StrobeScalarClock(_StrobeBase[ScalarTimestamp]):
     """Strobe scalar clock (rules SSC1–SSC2).
 
     Weaker than the vector variant but with O(1) strobes (§4.2.2).
@@ -195,39 +198,20 @@ class StrobeScalarClock(_StrobeObsMixin, StrobeClock[ScalarTimestamp]):
             raise ClockError(f"initial clock must be non-negative, got {initial}")
         self._pid = int(pid)
         self._value = int(initial)
-        self._relevant_events = 0
-        self._strobes_received = 0
-
-    @property
-    def pid(self) -> int:
-        return self._pid
-
-    @property
-    def relevant_events(self) -> int:
-        return self._relevant_events
-
-    @property
-    def strobes_received(self) -> int:
-        return self._strobes_received
 
     def on_relevant_event(self) -> ScalarTimestamp:
         """SSC1: tick; return the strobe to broadcast."""
         self._value += 1
         self._relevant_events += 1
-        if self._m_emitted is not None:
-            assert self._m_payload is not None
-            self._m_emitted.inc()
-            self._m_payload.inc(1)
         return self.read()
 
     def on_strobe(self, strobe: ScalarTimestamp) -> ScalarTimestamp:
         """SSC2: ``C = max(C, T)``; **no** local tick."""
-        if self._m_merged is not None:
-            assert self._m_catchup is not None and self._m_skew is not None
+        if self._m_catchup is not None:
+            assert self._m_skew is not None
             gain = max(strobe.value - self._value, 0)
             self._m_catchup.observe(gain)
             self._m_skew.set(gain)
-            self._m_merged.inc()
         self._value = max(self._value, strobe.value)
         self._strobes_received += 1
         return self.read()

@@ -161,6 +161,8 @@ class SensorProcess:
         # Trace handle (None = no-op fast path); survives restart() —
         # the recorder outlives the process's volatile state.
         self._trace = None
+        # Registries given to bind_obs(), for restart() to rebind.
+        self._obs_registries: list = []
 
         net.register(pid, self._on_message)
 
@@ -207,6 +209,18 @@ class SensorProcess:
     def on_app_message(self, kind: str, handler: AppHandler) -> None:
         """Register a handler for semantic messages of ``kind``."""
         self._app_handlers[kind] = handler
+
+    def bind_obs(self, registry) -> None:
+        """Attach every clock of this process that has metrics to
+        ``registry``; :meth:`restart` binds the clocks it rebuilds too."""
+        self._obs_registries.append(registry)
+        for clock in (
+            self.lamport, self.vector, self.strobe_scalar,
+            self.strobe_vector, self.physical_vector,
+        ):
+            bind = getattr(clock, "bind_obs", None)
+            if bind is not None:
+                bind(registry)
 
     def bind_trace(self, recorder) -> None:
         """Attach a flight recorder to this process's event log funnel
@@ -418,17 +432,16 @@ class SensorProcess:
         if cfg.vector:
             self.vector = VectorClock(self.pid, self.n)
         if cfg.strobe_scalar:
-            self.strobe_scalar = self._carry_obs(
-                StrobeScalarClock(self.pid), self.strobe_scalar
-            )
+            self.strobe_scalar = StrobeScalarClock(self.pid)
         if cfg.strobe_vector:
-            self.strobe_vector = self._carry_obs(
-                StrobeVectorClock(self.pid, self.n), self.strobe_vector
-            )
+            self.strobe_vector = StrobeVectorClock(self.pid, self.n)
         if cfg.physical_vector:
             self.physical_vector = PhysicalVectorClock(
                 self.pid, self.n, self.physical_clock
             )
+        registries, self._obs_registries = self._obs_registries, []
+        for registry in registries:
+            self.bind_obs(registry)
         for var, obj, attr, plain in self._trackings:
             if plain:
                 # §4.2.2 reboot re-sample: restart re-reads tracked state
@@ -447,19 +460,6 @@ class SensorProcess:
             )
         else:
             self._reannounce()
-
-    @staticmethod
-    def _carry_obs(new_clock, old_clock):
-        # Restarted clocks keep the obs bindings of their predecessors
-        # (instrument_system ran at build time and won't run again).
-        if old_clock is not None:
-            for attr in (
-                "_m_emitted", "_m_merged", "_m_payload", "_m_catchup", "_m_skew",
-            ):
-                handle = getattr(old_clock, attr, None)
-                if handle is not None:
-                    setattr(new_clock, attr, handle)
-        return new_clock
 
     def _reannounce(self) -> None:
         """Re-announce every tracked variable (post-restart rejoin)."""

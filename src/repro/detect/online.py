@@ -58,18 +58,16 @@ _LATENCY_BUCKETS = [10 ** (k / 2) for k in range(-6, 7)]
 class _OnlineObsMixin:
     """Shared ``bind_obs`` for the online (watermark) detectors.
 
-    Aggregate ``detect.*`` instruments; handles default to ``None`` so
-    uninstrumented runs pay one ``is None`` test per operation.
+    Aggregate ``detect.*`` instruments.  The record, processed, late
+    and quarantine counts read the detector's own; the rest are pushed
+    through handles that default to ``None``, so uninstrumented runs
+    pay one ``is None`` test per operation.
     """
 
-    _m_records = None
     _m_flushes = None
-    _m_processed = None
-    _m_late = None
     _m_backlog = None
     _m_latency = None
     _m_quarantined = None
-    _m_quarantine_events = None
     _trace = None
     _trace_host = 0
 
@@ -81,16 +79,18 @@ class _OnlineObsMixin:
         self._trace_host = int(host)
 
     def bind_obs(self, registry) -> None:
-        self._m_records = registry.counter("detect.records")
+        registry.counter("detect.records").read_from(lambda: len(self.store))
+        registry.counter("detect.processed").read_from(self._processed_total)
+        registry.counter("detect.late_records").read_from(lambda: self.late_records)
+        registry.counter("detect.quarantine_events").read_from(
+            lambda: self.quarantine_events
+        )
         self._m_flushes = registry.counter("detect.flushes")
-        self._m_processed = registry.counter("detect.processed")
-        self._m_late = registry.counter("detect.late_records")
         self._m_backlog = registry.gauge("detect.backlog")
         self._m_latency = registry.histogram(
             "detect.emit_latency_s", buckets=_LATENCY_BUCKETS
         )
         self._m_quarantined = registry.gauge("detect.quarantined")
-        self._m_quarantine_events = registry.counter("detect.quarantine_events")
 
 
 class _LivenessMixin:
@@ -141,8 +141,6 @@ class _LivenessMixin:
             if pid not in self.quarantined and now - self._last_heard[pid] > horizon:
                 self.quarantined.add(pid)
                 self.quarantine_events += 1
-                if self._m_quarantine_events is not None:
-                    self._m_quarantine_events.inc()
                 if self._m_quarantined is not None:
                     self._m_quarantined.set(len(self.quarantined))
 
@@ -205,8 +203,6 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
             self._new.append(record)
             if not self._pending and len(self._new) == 1:
                 arrival = now                # the first unprocessed record
-            if self._m_records is not None:
-                self._m_records.inc()
         self._arm(arrival, heard)
 
     def _arm(self, arrival: "float | None", heard: "float | None") -> None:
@@ -373,8 +369,6 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
                 # under the no-loss stability argument (module docstring):
                 # a strobe was lost.  Drop, counted once each.
                 self.late_records += late
-                if self._m_late is not None:
-                    self._m_late.inc(late)
             new = fresh
         if self._pending:
             self._pending.extend(new)
@@ -474,13 +468,15 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
                     self._m_latency.observe(now - d.trigger.true_time)
                 if self._trace is not None:
                     self._trace.record_detection(d, now, self._trace_host)
-            if self._m_processed is not None:
-                self._m_processed.inc()
         del full[prefix_len + stable:]       # drop the unstable tail
         del vars_l[prefix_len + stable:]
         del vals_l[prefix_len + stable:]
         self._pending = suffix[stable:]
         self._last_key = self._sort_key(full[-1])
+
+    def _processed_total(self) -> int:
+        """Records stepped past the watermark (``detect.processed``)."""
+        return len(self._processed)
 
     # ------------------------------------------------------------------
     def frontier_snapshot(self) -> dict[str, Any]:
@@ -565,8 +561,6 @@ class OnlineScalarStrobeDetector(_WatermarkMixin, Detector):
                         # strobe broke the stability argument.  Count
                         # and skip.
                         self.late_records += 1
-                        if self._m_late is not None:
-                            self._m_late.inc()
                         self._processed_count += 1
                     else:
                         fresh.append(rec)
@@ -598,14 +592,16 @@ class OnlineScalarStrobeDetector(_WatermarkMixin, Detector):
                 self._prev = cur
             self._last_key = self._sort_key(rec)
             done += 1
-            if self._m_processed is not None:
-                self._m_processed.inc()
         if done:
             self._pending = self._pending[done:]
             self._processed_count += done
         if self._m_backlog is not None:
             self._m_backlog.set(len(self.store) - self._processed_count)
         self._rearm()
+
+    def _processed_total(self) -> int:
+        """Records stepped past the watermark, not the late ones skipped."""
+        return self._processed_count - self.late_records
 
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the scalar watermark frontier (processed

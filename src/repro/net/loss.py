@@ -99,7 +99,6 @@ class GilbertElliottLoss(LossModel):
         self._bad = bool(start_bad)
         self._start_bad = bool(start_bad)
         self._m_transitions = None
-        self._m_bad = None
 
     @property
     def in_bad_state(self) -> bool:
@@ -108,7 +107,7 @@ class GilbertElliottLoss(LossModel):
     def bind_obs(self, registry) -> None:
         super().bind_obs(registry)
         self._m_transitions = registry.counter("net.loss.burst_transitions")
-        self._m_bad = registry.gauge("net.loss.in_bad_state")
+        registry.gauge("net.loss.in_bad_state").read_from(lambda: float(self._bad))
 
     def drops(self, rng: np.random.Generator) -> bool:
         # Transition first, then sample loss in the new state.
@@ -121,7 +120,6 @@ class GilbertElliottLoss(LossModel):
                 self._bad = True
         if self._m_transitions is not None and was_bad != self._bad:
             self._m_transitions.inc()
-            self._m_bad.set(1.0 if self._bad else 0.0)
         p = self._p_bad if self._bad else self._p_good
         dropped = bool(rng.random() < p)
         if dropped and self._m_drops is not None:

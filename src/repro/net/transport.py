@@ -112,15 +112,8 @@ class Network:
         self._loss_override_rng: np.random.Generator | None = None
         # Trace handle (None = no-op fast path).
         self._trace = None
-        # Observability handles (None = no-op fast path).
-        self._m_sent = None
-        self._m_delivered = None
-        self._m_drop_loss = None
-        self._m_drop_part = None
-        self._m_drop_crash = None
-        self._m_drop_burst = None
+        # Observability handle (None = no-op fast path).
         self._m_delay = None
-        self._m_units = None
 
     # ------------------------------------------------------------------
     @property
@@ -200,15 +193,18 @@ class Network:
         self._loss_override_rng = None
 
     def bind_obs(self, registry) -> None:
-        """Attach transport metrics (sends, deliveries, drops, delay
-        distribution, payload units); also binds the loss model."""
-        self._m_sent = registry.counter("net.sent")
-        self._m_delivered = registry.counter("net.delivered")
-        self._m_drop_loss = registry.counter("net.dropped_loss")
-        self._m_drop_part = registry.counter("net.dropped_partition")
-        self._m_drop_crash = registry.counter("net.dropped_crashed")
-        self._m_drop_burst = registry.counter("net.dropped_burst")
-        self._m_units = registry.counter("net.payload_units")
+        """Attach transport metrics: sends, deliveries, drops and
+        payload units read :attr:`stats`; the delay distribution is
+        pushed.  Also binds the loss model."""
+        stats = self.stats
+        for field_name in (
+            "sent", "delivered", "dropped_loss", "dropped_partition",
+            "dropped_crashed", "dropped_burst",
+        ):
+            registry.counter(f"net.{field_name}").read_from(
+                lambda f=field_name: getattr(stats, f)
+            )
+        registry.counter("net.payload_units").read_from(lambda: stats.total_units)
         # Delay buckets: sub-ms to ~100 s of *simulated* latency.
         self._m_delay = registry.histogram(
             "net.delay_s", buckets=[10 ** (k / 2) for k in range(-8, 5)]
@@ -305,16 +301,11 @@ class Network:
         else:
             self.stats.app_messages += 1
             self.stats.app_units += msg.size
-        if self._m_sent is not None:
-            self._m_sent.inc()
-            self._m_units.inc(msg.size)
 
     def _dispatch(self, msg: Message) -> None:
         mid = self._trace.record_send(msg) if self._trace is not None else None
         if msg.dst in self._down:
             self.stats.dropped_crashed += 1
-            if self._m_drop_crash is not None:
-                self._m_drop_crash.inc()
             if self._trace is not None:
                 self._trace.record_drop(mid, msg, "crashed")
             return
@@ -323,22 +314,16 @@ class Network:
             # so it subsumes the plain topology check.
             if not self._partition.connected(self._topo, msg.src, msg.dst):
                 self.stats.dropped_partition += 1
-                if self._m_drop_part is not None:
-                    self._m_drop_part.inc()
                 if self._trace is not None:
                     self._trace.record_drop(mid, msg, "partition")
                 return
         elif not self._topo.connected(msg.src, msg.dst):
             self.stats.dropped_partition += 1
-            if self._m_drop_part is not None:
-                self._m_drop_part.inc()
             if self._trace is not None:
                 self._trace.record_drop(mid, msg, "partition")
             return
         if self._loss.drops(self._rng):
             self.stats.dropped_loss += 1
-            if self._m_drop_loss is not None:
-                self._m_drop_loss.inc()
             if self._trace is not None:
                 self._trace.record_drop(mid, msg, "loss")
             return
@@ -350,8 +335,6 @@ class Network:
             self._loss_override_rng
         ):
             self.stats.dropped_burst += 1
-            if self._m_drop_burst is not None:
-                self._m_drop_burst.inc()
             if self._trace is not None:
                 self._trace.record_drop(mid, msg, "burst")
             return
@@ -373,14 +356,10 @@ class Network:
         if msg.dst in self._down:
             # In flight when the destination fail-stopped.
             self.stats.dropped_crashed += 1
-            if self._m_drop_crash is not None:
-                self._m_drop_crash.inc()
             if self._trace is not None:
                 self._trace.record_drop(mid, msg, "crashed")
             return
         self.stats.delivered += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc()
         # Receive entry before the endpoint callback, so every event
         # the delivery causes sorts after it in recording order.
         if self._trace is not None:

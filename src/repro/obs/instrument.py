@@ -1,8 +1,9 @@
 """Wiring helpers: attach a registry/tracer to a running system.
 
-Instrumented components each expose ``bind_obs(registry)`` and keep
-``None`` handles until bound (their hot paths then cost one ``is
-None`` test).  :func:`instrument_system` walks a
+Instrumented components each expose ``bind_obs(registry)``: the
+registry reads the counts they already keep, and the rest go through
+handles that stay ``None`` until bound (see :mod:`repro.obs.registry`).
+:func:`instrument_system` walks a
 :class:`~repro.core.system.PervasiveSystem` and binds every layer in
 one call; :class:`Observability` bundles the registry + tracer pair
 that the CLI, examples, and benchmarks pass around.
@@ -68,9 +69,10 @@ def instrument_system(
     """Bind instrumentation through every layer of ``system``.
 
     Binds the kernel (events, heap depth, callback wall time), the
-    network transport and its loss model, and every process's strobe /
-    vector clocks.  Detectors are bound individually (they are attached
-    after system construction): ``detector.bind_obs(obs.registry)``.
+    network transport and its loss model, and every process's clocks
+    (including those a restart rebuilds).  Detectors are bound
+    individually (they are attached after system construction):
+    ``detector.bind_obs(obs.registry)``.
 
     Returns the :class:`Observability` (constructing one around a bare
     registry if needed) so call sites can do::
@@ -83,12 +85,7 @@ def instrument_system(
     system.sim.bind_obs(reg)
     system.net.bind_obs(reg)
     for proc in system.processes:
-        if proc.strobe_scalar is not None:
-            proc.strobe_scalar.bind_obs(reg)
-        if proc.strobe_vector is not None:
-            proc.strobe_vector.bind_obs(reg)
-        if proc.vector is not None:
-            proc.vector.bind_obs(reg)
+        proc.bind_obs(reg)
     if sample_every is not None:
         attach_sampler(system.sim, reg, every_events=sample_every)
     return obs

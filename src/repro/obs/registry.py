@@ -1,27 +1,29 @@
 """Run-wide metrics: counters, gauges, fixed-bucket histograms.
 
-The registry is the passive half of :mod:`repro.obs`: instrumented
-components hold *bound handles* (a :class:`Counter`, :class:`Gauge` or
-:class:`Histogram` object) obtained once via :meth:`MetricsRegistry.counter`
-etc., so the per-event cost of an enabled metric is one attribute
-access plus an integer add — and the cost of a *disabled* one is a
-single ``is None`` test (components default their handles to ``None``
-until ``bind_obs`` is called).  Nothing in this module reads the
+The registry is the passive half of :mod:`repro.obs`.  A count or state
+a component already keeps (``NetworkStats.sent``, a strobe clock's
+``relevant_events``) is *read*: ``bind_obs`` attaches a zero-argument
+callable with ``read_from``, called only when the registry samples,
+snapshots, merges or exports, so the hot path pays nothing.  Anything
+else is *pushed* through a bound handle (a :class:`Counter`,
+:class:`Gauge` or :class:`Histogram`) that components default to
+``None``: one ``is None`` test per event when unbound, plus one
+instrument call when bound.  Nothing in this module reads the
 simulation clock or any RNG: attaching a registry can never perturb
 event ordering or random draws (tests/obs/test_determinism.py).
 
 Metric names are dotted paths (``kernel.events_fired``,
-``net.delay_s``); the canonical set is documented in
-docs/observability.md.  All instruments are process-wide aggregates —
-per-entity breakdowns belong in labels-free ad-hoc metrics, kept out
-of the hot paths on purpose (bounded cardinality).
+``net.delay_s``); the canonical set, with what each one reads, is
+documented in docs/observability.md.  All instruments are process-wide
+aggregates — per-entity breakdowns belong in labels-free ad-hoc
+metrics, kept out of the hot paths on purpose (bounded cardinality).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 class MetricError(ValueError):
@@ -29,18 +31,33 @@ class MetricError(ValueError):
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count: the pushed increments plus,
+    per :meth:`read_from` source, its growth since it was attached (so
+    a registry bound mid-run counts only later work, and one bound to
+    several systems sums them)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_pushed", "_sources")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        self._pushed: int | float = 0
+        self._sources: list[tuple[Callable[[], int], int]] = []
 
     def inc(self, n: int | float = 1) -> None:
         if n < 0:
             raise MetricError(f"counter {self.name!r} cannot decrease (inc {n})")
-        self.value += n
+        self._pushed += n
+
+    def read_from(self, source: Callable[[], int]) -> None:
+        """Count what the running total ``source()`` adds from now on."""
+        self._sources.append((source, source()))
+
+    @property
+    def value(self) -> int | float:
+        v = self._pushed
+        for source, base in self._sources:
+            v += source() - base
+        return v
 
     def snapshot(self) -> dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -50,22 +67,34 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (heap depth, backlog, skew)."""
+    """A value that can go up and down (heap depth, backlog, skew).
+    The last writer wins: a :meth:`set` (``inc``/``dec`` included) or
+    a :meth:`read_from` source, reported until the next write."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_value", "_source")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
+        self._value: float = 0.0
+        self._source: Callable[[], float] | None = None
 
     def set(self, v: float) -> None:
-        self.value = v
+        self._value = v
+        self._source = None
 
     def inc(self, n: float = 1.0) -> None:
-        self.value += n
+        self.set(self.value + n)
 
     def dec(self, n: float = 1.0) -> None:
-        self.value -= n
+        self.set(self.value - n)
+
+    def read_from(self, source: Callable[[], float]) -> None:
+        """Report ``source()`` from now on."""
+        self._source = source
+
+    @property
+    def value(self) -> float:
+        return self._value if self._source is None else self._source()
 
     def snapshot(self) -> dict[str, Any]:
         return {"type": "gauge", "value": self.value}
@@ -162,7 +191,7 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` create-or-return by name, so
     independent components naturally share aggregates (every strobe
-    clock increments the same ``clock.strobe.emitted``).  Asking for an
+    clock feeds the same ``clock.strobe.emitted``).  Asking for an
     existing name as a different type raises :class:`MetricError`.
 
     ``sample(t_sim)`` appends a dual-stamped scalar snapshot to

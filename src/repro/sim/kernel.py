@@ -30,7 +30,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.registry import Gauge, Histogram, MetricsRegistry
     from repro.sim.timers import GridTimer
 
 #: One heap entry: ``(time, priority, seq, event)``.
@@ -126,10 +126,8 @@ class Simulator:
         #: Hooks invoked after every fired event; used by trace recorders.
         self._post_hooks: list[Callable[[ScheduledEvent], None]] = []
         # Observability handles (None = no-op fast path).
-        self._m_fired: "Counter | None" = None
-        self._m_heap: "Gauge | None" = None
         self._m_cb_wall: "Histogram | None" = None
-        self._obs_registry: "MetricsRegistry | None" = None
+        self._m_heap: "Gauge | None" = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -245,14 +243,14 @@ class Simulator:
         self._post_hooks.append(hook)
 
     def bind_obs(self, registry: "MetricsRegistry") -> None:
-        """Attach kernel metrics (events fired, heap depth, callback
-        wall time).  Unbound, the run loop pays one ``is None`` test
-        per event — the no-op fast path."""
-        self._m_fired = registry.counter("kernel.events_fired")
-        self._m_heap = registry.gauge("kernel.heap_depth")
+        """Attach kernel metrics: events fired and compactions read the
+        kernel's own counts; callback wall time and the heap depth
+        after each fired event are pushed.  Unbound, the run loop pays
+        one ``is None`` test per event — the no-op fast path."""
+        registry.counter("kernel.events_fired").read_from(lambda: self._processed)
+        registry.counter("kernel.compactions").read_from(lambda: self._compactions)
         self._m_cb_wall = registry.histogram("kernel.callback_wall_s")
-        registry.counter("kernel.compactions")
-        self._obs_registry = registry
+        self._m_heap = registry.gauge("kernel.heap_depth")
 
     # ------------------------------------------------------------------
     # Heap hygiene
@@ -274,8 +272,6 @@ class Simulator:
         heapq.heapify(self._heap)
         self._dead = 0
         self._compactions += 1
-        if self._obs_registry is not None:
-            self._obs_registry.counter("kernel.compactions").inc()
 
     # ------------------------------------------------------------------
     # Run loop
@@ -316,15 +312,14 @@ class Simulator:
     def _fire(self, ev: ScheduledEvent) -> None:
         # Shared firing path for step()/run(); the None test is the
         # instrumentation no-op fast path.
-        if self._m_fired is None:
+        if self._m_cb_wall is None:
             ev.callback()
         else:
-            assert self._m_cb_wall is not None and self._m_heap is not None
+            assert self._m_heap is not None
             t0 = perf_counter()  # repro: noqa SIM001 -- obs wall-time metric only
             ev.callback()
             dt = perf_counter() - t0  # repro: noqa SIM001 -- obs metric only
             self._m_cb_wall.observe(dt)
-            self._m_fired.inc()
             self._m_heap.set(len(self._heap))
         self._processed += 1
 

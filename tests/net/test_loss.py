@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
+from repro.obs import MetricsRegistry
 
 
 def test_no_loss_never_drops():
@@ -100,3 +101,18 @@ def test_gilbert_elliott_start_bad():
     assert all(m.drops(rng) for _ in range(50))
     assert "start_bad=True" in repr(m)
     assert "start_bad" not in repr(GilbertElliottLoss())
+
+
+def test_gilbert_elliott_bad_state_gauge_reads_the_chain():
+    """A chain started bad reports ``net.loss.in_bad_state`` = 1.0 with
+    no transition at all."""
+    reg = MetricsRegistry()
+    m = GilbertElliottLoss(p_gb=0.0, p_bg=0.0, p_bad=0.9, start_bad=True)
+    m.bind_obs(reg)
+    rng = np.random.default_rng(0)
+    drops = sum(m.drops(rng) for _ in range(100))
+    assert m.in_bad_state and drops > 50
+    assert reg.get("net.loss.drops").value == drops
+    gauge = reg.get("net.loss.in_bad_state").value
+    assert gauge == 1.0 and isinstance(gauge, float)
+    assert reg.get("net.loss.burst_transitions").value == 0

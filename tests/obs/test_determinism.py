@@ -4,13 +4,15 @@ The determinism contract: attaching a registry, tracer, and sampler to
 a run changes **nothing** about the simulation — the record stream
 (values, stamps, ordering), the detections, and the final sim time are
 bit-identical to an uninstrumented run with the same seed.  This is
-why every hook guards on ``is None`` and the sampler rides the
-kernel's post-event hook instead of scheduling events.
+why read metrics only read, pushed hooks guard on ``is None``, and the
+sampler rides the kernel's post-event hook instead of scheduling
+events.
 """
 
 from repro.detect.online import OnlineVectorStrobeDetector
 from repro.net.delay import DeltaBoundedDelay
 from repro.obs import MetricsRegistry, Observability, SpanTracer, instrument_system
+from repro.scenarios.builders import OBS_SCENARIOS, build_scenario
 from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
 
 DELTA = 0.2
@@ -59,21 +61,87 @@ def test_instrumentation_does_not_perturb_the_run():
     assert len(reg.samples) > 0
 
 
-def test_obs_counters_agree_with_transport_accounting():
-    _, _, _, obs = run_office(instrument=True)
-    reg = obs.registry
-    # Conservation: every sent message was delivered, dropped, or still
-    # in flight at the run horizon (delivery within Δ of the cutoff).
-    sent = reg.get("net.sent").value
-    delivered = reg.get("net.delivered").value
-    dropped = (reg.get("net.dropped_loss").value
-               + reg.get("net.dropped_partition").value)
-    in_flight = sent - delivered - dropped
-    assert 0 <= in_flight <= 4
+def read_sources(system, detector):
+    """Every read metric of a run, taken straight from the state it
+    reads (no faults here, so no clock was ever replaced)."""
+    stats = system.net.stats
+    strobes = [
+        c for p in system.processes
+        for c in (p.strobe_scalar, p.strobe_vector) if c is not None
+    ]
+    return {
+        "kernel.events_fired": system.sim.processed_events,
+        "kernel.compactions": system.sim.compactions,
+        "net.sent": stats.sent,
+        "net.delivered": stats.delivered,
+        "net.dropped_loss": stats.dropped_loss,
+        "net.dropped_partition": stats.dropped_partition,
+        "net.dropped_crashed": stats.dropped_crashed,
+        "net.dropped_burst": stats.dropped_burst,
+        "net.payload_units": stats.total_units,
+        "clock.strobe.emitted": sum(c.relevant_events for c in strobes),
+        "clock.strobe.merged": sum(c.strobes_received for c in strobes),
+        "clock.strobe.payload_units": sum(
+            c.relevant_events * c.strobe_size() for c in strobes
+        ),
+        "detect.records": len(detector.store),
+        "detect.processed": detector.frontier_snapshot()["processed"],
+        "detect.late_records": detector.late_records,
+        "detect.quarantine_events": detector.quarantine_events,
+    }
+
+
+def typed(values):
+    return sorted((k, type(v).__name__, v) for k, v in values.items())
+
+
+def check_profile(profile):
+    scenario, phi, initials = build_scenario(profile, seed=SEED, delta=DELTA)
+    system = scenario.system
+    reg = MetricsRegistry()
+    instrument_system(system, reg, sample_every=20)
+    detector = OnlineVectorStrobeDetector(system.sim, phi, initials, delta=DELTA)
+    detector.bind_obs(reg)
+    scenario.attach_detector(detector)
+    detector.start()
+    checked = []
+
+    def check(_ev) -> None:             # runs after the sampler's hook
+        if len(reg.samples) > len(checked):
+            expected = read_sources(system, detector)
+            values = reg.samples[-1][2]
+            assert typed({k: values[k] for k in expected}) == typed(expected)
+            checked.append(len(reg.samples))
+
+    system.sim.add_post_hook(check)
+    scenario.run(DURATION)
+    detector.finalize()
+    assert len(checked) > 5
+    final = reg.scalar_values()
+    expected = read_sources(system, detector)
+    assert typed({k: final[k] for k in expected}) == typed(expected)
+
+    # Conservation: every sent message was delivered, dropped, or is
+    # still in flight — a live delivery event — at the run horizon.
+    in_flight = sum(
+        1 for entry in system.sim.calendar_snapshot()[1:]
+        if str(entry[3]).startswith("deliver:")
+    )
+    dropped = sum(final[f"net.dropped_{why}"]
+                  for why in ("loss", "partition", "crashed", "burst"))
+    assert final["net.sent"] == final["net.delivered"] + dropped + in_flight
     # The delay histogram is observed at dispatch (when the delivery is
-    # scheduled), so it covers every non-dropped send — including any
-    # still in flight at the horizon.
-    assert reg.get("net.delay_s").count == sent - dropped
+    # scheduled), so it covers every send that was not dropped there —
+    # including any still in flight at the horizon.
+    assert final["net.delay_s"] == final["net.sent"] - dropped
+
+
+def test_obs_counters_agree_with_transport_accounting():
+    """Every read counter equals the state it reads, value and type, at
+    every sample and at the end, on all four profiles; and the
+    transport's counts conserve messages."""
+    for profile in OBS_SCENARIOS:
+        check_profile(profile)
 
 
 def test_bare_registry_is_accepted_by_instrument_system():

@@ -97,6 +97,39 @@ def test_obs_run_csv(tmp_path, capsys):
     assert any(line.startswith("net.sent,counter,") for line in lines)
 
 
+def obs_projection(path):
+    """The deterministic part of an obs JSONL report: no wall stamps or
+    wall durations, and only the count of the callback wall-time
+    histogram."""
+    from repro.obs.exporters import read_jsonl
+
+    out = []
+    for ev in read_jsonl(path):
+        ev = {k: v for k, v in ev.items() if k not in ("t_wall", "wall_s")}
+        if ev["kind"] == "metric" and ev["name"] == "kernel.callback_wall_s":
+            ev = {"kind": "metric", "name": ev["name"], "count": ev["count"]}
+        out.append(ev)
+    return out
+
+
+def test_obs_run_negative_delta_runs_the_delta_zero_profile(tmp_path, capsys):
+    reports = {}
+    for delta in ("-1", "0"):
+        out_path = tmp_path / f"obs{delta}.jsonl"
+        rc = main(["obs", "run", "hall", "--duration", "30", "--delta", delta,
+                   "--export", "jsonl", "--sample-every", "100",
+                   "--out", str(out_path)])
+        assert rc == 0
+        reports[delta] = obs_projection(out_path)
+    assert reports["-1"][0]["meta"]["delta"] == 0.0
+    assert reports["-1"] == reports["0"]
+
+
+def test_obs_run_rejects_a_nonpositive_duration(capsys):
+    assert main(["obs", "run", "hall", "--duration", "0"]) == 2
+    assert "duration must be positive" in capsys.readouterr().err
+
+
 def test_obs_rejects_unknown_scenario():
     with pytest.raises(SystemExit):
         main(["obs", "run", "atlantis"])
