@@ -20,14 +20,13 @@ tests/clocks/test_fastpath.py property suite pins.  Batch helpers
 m-at-a-time API so hot paths stop issuing m² Python-level ``__le__``
 calls.
 
-On top of either backend, timestamps with n ≤ :data:`PACKED_MAX_N`
-components that all fit in ``64 // n - 1`` bits additionally carry a
-**packed int64 encoding** (:meth:`VectorTimestamp.packed`): the
-components bit-packed into one word with a guard bit per field, so a
-dominance check is a single subtract-and-mask (SWAR) instead of n
-comparisons — pairwise and, through :func:`pack_matrix`, inside the
-batch kernels.  Component overflow falls back to the component-matrix
-kernels transparently (tests/clocks/test_packed.py pins equivalence).
+Inside the batch kernels, stamp sets with n ≤ :data:`PACKED_MAX_N`
+components that all fit in ``64 // n - 1`` bits are **packed**
+(:func:`pack_matrix`): each row's components bit-packed into one
+uint64 word with a guard bit per field, so a dominance check is a
+single subtract-and-mask (SWAR) instead of n comparisons.  Component
+overflow falls back to the component-matrix kernels transparently
+(tests/clocks/test_packed.py pins equivalence).
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ PACKED_MAX_N = 8
 
 #: Per-width field geometry for the packed encoding (index = n).
 #: ``_PACK_WIDTH[n]`` bits per component, of which the top one is the
-#: guard, so components must be <= ``packed_capacity(n)``.
+#: guard, so components must be <= ``_PACK_LIMIT[n]``.
 _PACK_WIDTH = [0] + [64 // n for n in range(1, PACKED_MAX_N + 1)]
 _PACK_LIMIT = [0] + [(1 << (w - 1)) - 1 for w in _PACK_WIDTH[1:]]
 #: Guard-bit masks: bit ``w - 1`` of each field set.
@@ -66,14 +65,6 @@ _PACK_GUARD = [0] + [
     sum(1 << (i * w + w - 1) for i in range(n))
     for n, w in enumerate(_PACK_WIDTH[1:], start=1)
 ]
-
-
-def packed_capacity(n: int) -> int:
-    """Largest component value the width-``n`` packed encoding holds.
-
-    Zero when ``n`` exceeds :data:`PACKED_MAX_N` (no packed form).
-    """
-    return _PACK_LIMIT[n] if 1 <= n <= PACKED_MAX_N else 0
 
 
 class VectorTimestamp:
@@ -85,15 +76,12 @@ class VectorTimestamp:
     lattice machinery.
     """
 
-    __slots__ = ("_t", "_arr", "_hash", "_sum", "_packed")
+    __slots__ = ("_t", "_arr", "_hash", "_sum")
 
     _t: "tuple[int, ...] | None"
     _arr: "np.ndarray | None"
     _hash: "int | None"
     _sum: "int | None"
-    #: Packed-int64 encoding: ``None`` = not yet computed, ``-1`` =
-    #: unpackable (too wide or a component overflows), else the word.
-    _packed: "int | None"
 
     def __init__(self, components: Iterable[int]) -> None:
         if isinstance(components, np.ndarray):
@@ -130,7 +118,6 @@ class VectorTimestamp:
                 self._arr = arr
         self._hash = None
         self._sum = None
-        self._packed = None
 
     # -- trusted constructors (internal fast paths) ---------------------
     @classmethod
@@ -141,7 +128,6 @@ class VectorTimestamp:
         ts._arr = None
         ts._hash = None
         ts._sum = None
-        ts._packed = None
         return ts
 
     @classmethod
@@ -154,33 +140,6 @@ class VectorTimestamp:
         ts._arr = a
         ts._hash = None
         ts._sum = None
-        ts._packed = None
-        return ts
-
-    # -- interned constants --------------------------------------------
-    _ZEROS: "dict[int, VectorTimestamp]" = {}
-    _UNITS: "dict[tuple[int, int], VectorTimestamp]" = {}
-
-    @classmethod
-    def zeros(cls, n: int) -> "VectorTimestamp":
-        """The interned all-zero timestamp of width ``n``."""
-        ts = cls._ZEROS.get(n)
-        if ts is None:
-            ts = cls([0] * n)
-            ts.packed()          # interned constants pre-warm the encoding
-            cls._ZEROS[n] = ts
-        return ts
-
-    @classmethod
-    def unit(cls, n: int, pid: int) -> "VectorTimestamp":
-        """The interned width-``n`` timestamp with a single 1 at ``pid``."""
-        key = (n, pid)
-        ts = cls._UNITS.get(key)
-        if ts is None:
-            validate_pid(pid, n)
-            ts = cls([1 if i == pid else 0 for i in range(n)])
-            ts.packed()
-            cls._UNITS[key] = ts
         return ts
 
     # -- accessors ------------------------------------------------------
@@ -214,34 +173,6 @@ class VectorTimestamp:
             self._arr = arr
         return self._arr
 
-    def packed(self) -> "int | None":
-        """The packed-int64 encoding, or ``None`` when this timestamp
-        has no packed form (wider than :data:`PACKED_MAX_N` or a
-        component beyond :func:`packed_capacity`).
-
-        Component i occupies bits ``[i*w, (i+1)*w)`` with ``w = 64 //
-        n``; the top bit of every field is a zero guard bit, which makes
-        dominance a single subtract-and-mask (SWAR): ``a <= b`` iff
-        ``((b | G) - a) & G == G`` for the guard mask G.  Computed once
-        and cached (timestamps are immutable).
-        """
-        p = self._packed
-        if p is None:
-            n = self.n
-            if n > PACKED_MAX_N:
-                p = -1
-            else:
-                w = _PACK_WIDTH[n]
-                limit = _PACK_LIMIT[n]
-                p = 0
-                for i, c in enumerate(self.as_tuple()):
-                    if c > limit:
-                        p = -1
-                        break
-                    p |= c << (i * w)
-            self._packed = p
-        return p if p >= 0 else None
-
     # -- order ----------------------------------------------------------
     def _check(self, other: "VectorTimestamp") -> None:
         if not isinstance(other, VectorTimestamp):
@@ -267,10 +198,6 @@ class VectorTimestamp:
 
     def __le__(self, other: "VectorTimestamp") -> bool:
         self._check(other)
-        pa, pb = self._packed, other._packed
-        if pa is not None and pb is not None and pa >= 0 and pb >= 0:
-            g = _PACK_GUARD[self.n]
-            return ((pb | g) - pa) & g == g
         a, b = self._t, other._t
         if a is not None and b is not None:
             return all(x <= y for x, y in zip(a, b))
@@ -279,12 +206,6 @@ class VectorTimestamp:
     def __lt__(self, other: "VectorTimestamp") -> bool:
         """Strict vector dominance == happens-before (the isomorphism)."""
         self._check(other)
-        pa, pb = self._packed, other._packed
-        if pa is not None and pb is not None and pa >= 0 and pb >= 0:
-            # Packing is injective per width, so inequality of the
-            # words is inequality of the vectors.
-            g = _PACK_GUARD[self.n]
-            return pa != pb and ((pb | g) - pa) & g == g
         a, b = self._t, other._t
         if a is not None and b is not None:
             return a != b and all(x <= y for x, y in zip(a, b))
@@ -300,10 +221,6 @@ class VectorTimestamp:
     def concurrent_with(self, other: "VectorTimestamp") -> bool:
         """True iff neither dominates the other (a || b)."""
         self._check(other)
-        pa, pb = self._packed, other._packed
-        if pa is not None and pb is not None and pa >= 0 and pb >= 0:
-            g = _PACK_GUARD[self.n]
-            return ((pb | g) - pa) & g != g and ((pa | g) - pb) & g != g
         return not (self <= other) and not (other <= self)
 
     def merge(self, other: "VectorTimestamp") -> "VectorTimestamp":
@@ -381,9 +298,13 @@ def pack_matrix(vecs: "np.ndarray") -> "np.ndarray | None":
     """Pack an (m, n) int64 component matrix into m uint64 words.
 
     Returns ``None`` when the matrix has no packed form (``n`` beyond
-    :data:`PACKED_MAX_N`, or any component beyond
-    :func:`packed_capacity`) — callers fall back to the component
-    matrix.  The word layout matches :meth:`VectorTimestamp.packed`.
+    :data:`PACKED_MAX_N`, or any component beyond ``2**(w - 1) - 1``)
+    — callers fall back to the component matrix.
+
+    Component i occupies bits ``[i*w, (i+1)*w)`` with ``w = 64 // n``;
+    the top bit of every field is a zero guard bit, which makes
+    dominance a single subtract-and-mask: ``a <= b`` iff
+    ``((b | G) - a) & G == G`` for the guard mask G.
     """
     if vecs.ndim != 2:
         return None
@@ -736,7 +657,6 @@ __all__ = [
     "Ordering",
     "FASTPATH_MAX_N",
     "PACKED_MAX_N",
-    "packed_capacity",
     "stack_timestamps",
     "pack_matrix",
     "dominates_matrix",

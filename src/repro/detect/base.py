@@ -102,6 +102,10 @@ class Detector:
     """
 
     name = "detector"
+    #: The :class:`SensedEventRecord` field this detector orders by, or
+    #: None when it needs no stamp (see :meth:`check_stamps`).  A
+    #: stamped detector also defines ``_sort_key``, its total order.
+    stamp: "str | None" = None
 
     def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
         missing = [v for v in predicate.variables if v not in initials]
@@ -131,6 +135,18 @@ class Detector:
         if strobes:
             process.add_strobe_listener(self.feed)
 
+    def check_stamps(self, records: Iterable[SensedEventRecord]) -> None:
+        """Raise ``ValueError`` if any record lacks :attr:`stamp`."""
+        stamp = self.stamp
+        if stamp is None:
+            return
+        missing = [r.key() for r in records if getattr(r, stamp) is None]
+        if missing:
+            raise ValueError(
+                f"{len(missing)} record(s) lack {stamp} stamps (first "
+                f"{missing[0]}); configure ClockConfig({stamp}=True)"
+            )
+
     # -- finalization ----------------------------------------------------
     def finalize(self) -> list[Detection]:
         """Run/complete detection; returns all detections."""
@@ -141,36 +157,78 @@ class Detector:
         """JSON-safe summary of the detector's ingestion frontier.
 
         The base form covers what every detector holds: the dedup
-        store and the detections emitted so far.  Online detectors
+        store, the detections emitted so far and, for a stamped
+        detector, the sort key of its last record.  Online detectors
         extend it with their watermark state (:mod:`repro.detect.online`).
         Consumed by :mod:`repro.recover` as a state *certificate* —
         two runs with equal snapshots continue identically.
         """
-        return {
+        snap: dict[str, Any] = {
             "name": self.name,
             "records": len(self.store),
             "record_keys_tail": [list(k) for k in self.store.keys()[-8:]],
             "duplicates": self.store.duplicates,
             "detections": len(self.detections),
         }
-
-    # -- shared replay helper ---------------------------------------------
-    def _replay(
-        self, ordered: list[SensedEventRecord]
-    ) -> list[tuple[SensedEventRecord, dict, Any]]:
-        """Apply records in the given total order.
-
-        Returns per-record tuples ``(record, env_after_copy,
-        previous_value_of_var)`` — the previous value is what race
-        analysis needs to construct alternative states.
-        """
-        env = dict(self.initials)
-        out = []
-        for rec in ordered:
-            prev = env.get(rec.var)
-            env[rec.var] = rec.value
-            out.append((rec, dict(env), prev))
-        return out
+        if self.stamp is not None:
+            # Sort key of the last stamped record: where the detector's
+            # total order currently ends.
+            keys = [
+                self._sort_key(r) for r in self.store.all()
+                if getattr(r, self.stamp) is not None
+            ]
+            snap["linearization_tail"] = list(max(keys)) if keys else None
+        return snap
 
 
-__all__ = ["Detector", "Detection", "DetectionLabel", "RecordStore"]
+class TotalOrderDetector(Detector):
+    """Instantaneously(φ) by replaying the records in one total order.
+
+    The time models that totally order records (ε-synchronized physical
+    clocks, strobe scalar clocks) differ only in the stamp a record
+    must carry and the key that sorts by it.  A subclass declares
+    :attr:`stamp` and ``_sort_key``; this class applies the records in
+    key order to a live environment and emits a FIRM detection at every
+    rising edge of φ, copying the environment only on emission.
+    """
+
+    def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
+        super().__init__(predicate, initials)
+        self._env: dict = dict(self.initials)
+        self._prev = False
+
+    @staticmethod
+    def _sort_key(r: SensedEventRecord) -> tuple:
+        raise NotImplementedError
+
+    def _step(self, rec: SensedEventRecord, detail_extra: "dict | None" = None) -> None:
+        """Apply one record in order: evaluate φ on the live
+        environment and emit a FIRM detection on a rising edge (with
+        ``detail_extra`` copied into its ``detail``)."""
+        env = self._env
+        env[rec.var] = rec.value
+        cur = self.predicate.evaluate_safe(env)
+        if cur is None:
+            return
+        cur = bool(cur)
+        if cur and not self._prev:
+            self.detections.append(Detection(
+                self.name, rec, dict(env), DetectionLabel.FIRM,
+                detail=dict(detail_extra) if detail_extra else None,
+            ))
+        self._prev = cur
+
+    def finalize(self) -> list[Detection]:
+        records = self.store.all()
+        self.check_stamps(records)
+        self.detections = []
+        self._env = dict(self.initials)
+        self._prev = False
+        for rec in sorted(records, key=self._sort_key):
+            self._step(rec)
+        return self.detections
+
+
+__all__ = [
+    "Detector", "Detection", "DetectionLabel", "RecordStore", "TotalOrderDetector",
+]

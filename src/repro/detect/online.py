@@ -45,7 +45,8 @@ from repro.clocks.vector import (
     stack_timestamps,
 )
 from repro.core.records import SensedEventRecord
-from repro.detect.base import Detection, DetectionLabel, Detector
+from repro.detect.base import Detection
+from repro.detect.strobe_scalar import ScalarStrobeDetector
 from repro.detect.strobe_vector import VectorStrobeDetector
 from repro.predicates.base import Predicate
 from repro.sim.kernel import Simulator
@@ -181,6 +182,8 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
         self._pending: list[SensedEventRecord] = []
         #: arrivals since the last flush (unsorted, in arrival order)
         self._new: list[SensedEventRecord] = []
+        #: sort key of the last record stepped past the watermark
+        self._last_key: tuple | None = None
         self.late_records = 0
         #: (detection, emit_time) pairs for latency analysis
         self.emissions: list[tuple[Detection, float]] = []
@@ -195,6 +198,8 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
         self._grid.stop()
 
     def feed(self, record: SensedEventRecord) -> None:
+        if getattr(record, self.stamp) is None:
+            self.check_stamps((record,))      # raises before any state moves
         now = self._sim.now
         heard = now if self._note_heard(record.pid, now) else None
         arrival = None
@@ -238,6 +243,70 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
                 default=None,
             )
         self._arm(None if head is None else self._arrivals[head.key()], heard)
+
+    def _absorb_new(self) -> None:
+        """Fold arrivals since the last flush into the sorted pending
+        list, counting (and dropping) late records.
+
+        Only *new* arrivals can be late: the watermark never passes an
+        unstable pending record, so ``_last_key`` is always ≤ every
+        pending record's key.  This keeps late detection O(new).
+        """
+        new = self._new
+        self._new = []
+        new.sort(key=self._sort_key)
+        last = self._last_key
+        if last is not None:
+            # A record sorting inside the already-processed region is
+            # impossible under the no-loss stability argument (module
+            # docstring): a strobe was lost.  Drop, counted once each.
+            fresh = [r for r in new if not self._sort_key(r) < last]
+            self.late_records += len(new) - len(fresh)
+            new = fresh
+        if self._pending:
+            self._pending.extend(new)
+            self._pending.sort(key=self._sort_key)
+        else:
+            self._pending = new
+
+    def flush(self) -> None:
+        """Advance the watermark: process every record whose position in
+        the total order is final.
+
+        Incremental: new arrivals are merged into the sorted pending
+        list, the stable prefix is found by one scan and handed to the
+        detector's ``_flush_stable(pending, stable, now)``; the processed
+        prefix is never revisited."""
+        now = self._sim.now
+        self._update_quarantine(now)
+        if self._m_flushes is not None:
+            self._m_flushes.inc()
+        if self._new:
+            self._absorb_new()
+        arrivals = self._arrivals
+        wait = self._stability_wait
+        stable = 0
+        for r in self._pending:
+            if now - arrivals[r.key()] < wait:
+                break                        # not yet final; stop in order
+            stable += 1
+        if stable:
+            pending = self._pending
+            start = len(self.detections)
+            self._flush_stable(pending, stable, now)
+            self._pending = pending[stable:]
+            self._last_key = self._sort_key(pending[stable - 1])
+            for d in self.detections[start:]:
+                self.emissions.append((d, now))
+                if self._m_latency is not None:
+                    self._m_latency.observe(now - d.trigger.true_time)
+                if self._trace is not None:
+                    self._trace.record_detection(d, now, self._trace_host)
+        if self._m_backlog is not None:
+            self._m_backlog.set(
+                len(self.store) - self._processed_total() - self.late_records
+            )
+        self._rearm()
 
     def finalize(self) -> list[Detection]:
         """Flush everything regardless of stability (end of run)."""
@@ -317,7 +386,6 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
         self._vars_l: list[str] = []         # var per linearization index
         self._vals_l: list[Any] = []         # post-event value per index
         self._state = {"prev_lin": False, "prev_possible": False}
-        self._last_key: tuple | None = None  # sort key of last processed
         # Growing stamp buffers over the linearization (processed prefix
         # persists; suffix rows are rewritten each flush).
         self._vec_width: int | None = None
@@ -343,73 +411,12 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
         self._packed_buf = packed
         return grown
 
-    def _absorb_new(self) -> None:
-        """Fold arrivals since the last flush into the sorted pending
-        list, counting (and dropping) late records.
-
-        Only *new* arrivals can be late: the watermark never passes an
-        unstable pending record, so ``_last_key`` is always ≤ every
-        pending record's key.  This keeps late detection O(new) instead
-        of the old O(m) rebuilt-key-set scan per flush.
-        """
-        new = self._new
-        self._new = []
-        self._check_stamps(new)
-        new.sort(key=self._sort_key)
-        if self._last_key is not None:
-            fresh = []
-            late = 0
-            for r in new:
-                if self._sort_key(r) < self._last_key:
-                    late += 1
-                else:
-                    fresh.append(r)
-            if late:
-                # Sorts inside the already-processed region — impossible
-                # under the no-loss stability argument (module docstring):
-                # a strobe was lost.  Drop, counted once each.
-                self.late_records += late
-            new = fresh
-        if self._pending:
-            self._pending.extend(new)
-            self._pending.sort(key=self._sort_key)
-        else:
-            self._pending = new
-
-    def flush(self) -> None:
-        """Advance the watermark: process every record whose position in
-        the linearization is final.
-
-        Incremental: each flush touches only the pending suffix — new
-        arrivals are merged into the sorted pending list, the stable
-        prefix is found by one scan, and concurrency is computed as an
-        (stable × all) block against incrementally-maintained stacked
-        (and, for n ≤ 8, packed) stamp buffers.  The processed prefix is
-        never revisited."""
-        now = self._sim.now
-        self._update_quarantine(now)
-        if self._m_flushes is not None:
-            self._m_flushes.inc()
-        if self._new:
-            self._absorb_new()
-        suffix = self._pending
-        if suffix:
-            arrivals = self._arrivals
-            wait = self._stability_wait
-            stable = 0
-            for r in suffix:
-                if now - arrivals[r.key()] < wait:
-                    break                    # not yet final; stop in order
-                stable += 1
-            if stable:
-                self._flush_stable(suffix, stable, now)
-        if self._m_backlog is not None:
-            self._m_backlog.set(len(self.store) - len(self._processed))
-        self._rearm()
-
     def _flush_stable(self, suffix: list[SensedEventRecord], stable: int, now: float) -> None:
-        """Process the ``stable``-length prefix of ``suffix`` (racing
-        against the whole linearization, including unstable records)."""
+        """Process the ``stable``-length prefix of the pending
+        ``suffix``, racing against the whole linearization (unstable
+        records included): concurrency is an (stable × all) block
+        against incrementally maintained stacked (and, for n ≤ 8,
+        packed) stamp buffers."""
         prefix_len = len(self._processed)
         svecs = stack_timestamps([r.strobe_vector for r in suffix])
         n = svecs.shape[1]
@@ -451,28 +458,19 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
         env = self._env
         prevs = self._prevs
         state = self._state
+        extra = {"emit_time": now}
         for k in range(stable):
             rec = suffix[k]
             prev = env.get(rec.var)
             env[rec.var] = rec.value
             prevs.append(prev)
-            before = len(self.detections)
             self._step(
                 prefix_len + k, rec, env, vars_l, vals_l, prevs,
-                cols[bounds[k]:bounds[k + 1]], state,
-                detail_extra={"emit_time": now},
+                cols[bounds[k]:bounds[k + 1]], state, detail_extra=extra,
             )
-            for d in self.detections[before:]:
-                self.emissions.append((d, now))
-                if self._m_latency is not None:
-                    self._m_latency.observe(now - d.trigger.true_time)
-                if self._trace is not None:
-                    self._trace.record_detection(d, now, self._trace_host)
         del full[prefix_len + stable:]       # drop the unstable tail
         del vars_l[prefix_len + stable:]
         del vals_l[prefix_len + stable:]
-        self._pending = suffix[stable:]
-        self._last_key = self._sort_key(full[-1])
 
     def _processed_total(self) -> int:
         """Records stepped past the watermark (``detect.processed``)."""
@@ -493,14 +491,15 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
         return snap
 
 
-class OnlineScalarStrobeDetector(_WatermarkMixin, Detector):
+class OnlineScalarStrobeDetector(_WatermarkMixin, ScalarStrobeDetector):
     """Watermark-based online scalar-strobe detection.
 
     The 2Δ stability argument holds for the scalar order too: any
     record generated Δ after record r has merged r's strobe and ticked,
     so its scalar strictly exceeds r's — once r has been stable for 2Δ,
-    nothing can sort before it.  The detector replays the stable prefix
-    of the (value, pid, seq) order, emitting rising edges of φ.
+    nothing can sort before it.  The detector runs the offline replay's
+    rising-edge step over the stable prefix of the (value, pid, seq)
+    order.
 
     Lighter than the vector variant (no race analysis — scalar strobes
     carry no concurrency information, so every detection is FIRM and
@@ -524,84 +523,17 @@ class OnlineScalarStrobeDetector(_WatermarkMixin, Detector):
             sim, delta=delta, check_period=check_period,
             liveness_horizon=liveness_horizon, label="online-scalar-detect",
         )
-        self._env: dict = dict(initials)
         self._processed_count = 0
-        self._last_key: tuple | None = None
-        self._prev = False
 
-    @staticmethod
-    def _sort_key(r: SensedEventRecord):
-        return (r.strobe_scalar.value, r.pid, r.seq)
-
-    def feed(self, record: SensedEventRecord) -> None:
-        if record.strobe_scalar is None:
-            raise ValueError(
-                f"record {record.key()} lacks a strobe_scalar stamp"
-            )
-        super().feed(record)
-
-    def flush(self) -> None:
-        now = self._sim.now
-        self._update_quarantine(now)
-        if self._m_flushes is not None:
-            self._m_flushes.inc()
-        new = self._new
-        if new:
-            # Incremental merge: only new arrivals can be late (the
-            # watermark never passes an unstable pending record), so the
-            # old per-flush rescan of ``store.all()`` against a rebuilt
-            # processed-key set is unnecessary.
-            self._new = []
-            new.sort(key=self._sort_key)
-            if self._last_key is not None:
-                fresh = []
-                for rec in new:
-                    if self._sort_key(rec) < self._last_key:
-                        # Sorts inside the processed region: a lost
-                        # strobe broke the stability argument.  Count
-                        # and skip.
-                        self.late_records += 1
-                        self._processed_count += 1
-                    else:
-                        fresh.append(rec)
-                new = fresh
-            if self._pending:
-                self._pending.extend(new)
-                self._pending.sort(key=self._sort_key)
-            else:
-                self._pending = new
-        done = 0
-        for rec in self._pending:
-            if now - self._arrivals[rec.key()] < self._stability_wait:
-                break
-            self._env[rec.var] = rec.value
-            cur = self.predicate.evaluate_safe(self._env)
-            if cur is not None:
-                cur = bool(cur)
-                if cur and not self._prev:
-                    det = Detection(
-                        self.name, rec, dict(self._env), DetectionLabel.FIRM,
-                        detail={"emit_time": now},
-                    )
-                    self.detections.append(det)
-                    self.emissions.append((det, now))
-                    if self._m_latency is not None:
-                        self._m_latency.observe(now - det.trigger.true_time)
-                    if self._trace is not None:
-                        self._trace.record_detection(det, now, self._trace_host)
-                self._prev = cur
-            self._last_key = self._sort_key(rec)
-            done += 1
-        if done:
-            self._pending = self._pending[done:]
-            self._processed_count += done
-        if self._m_backlog is not None:
-            self._m_backlog.set(len(self.store) - self._processed_count)
-        self._rearm()
+    def _flush_stable(self, pending: list[SensedEventRecord], stable: int, now: float) -> None:
+        extra = {"emit_time": now}
+        for rec in pending[:stable]:
+            self._step(rec, extra)
+        self._processed_count += stable
 
     def _processed_total(self) -> int:
-        """Records stepped past the watermark, not the late ones skipped."""
-        return self._processed_count - self.late_records
+        """Records stepped past the watermark (late ones are skipped)."""
+        return self._processed_count
 
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the scalar watermark frontier (processed

@@ -16,42 +16,20 @@ this.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
-from repro.detect.base import Detection, DetectionLabel, Detector
-from repro.predicates.base import Predicate
+from repro.core.records import SensedEventRecord
+from repro.detect.base import TotalOrderDetector
 
 
-class PhysicalClockDetector(Detector):
+class PhysicalClockDetector(TotalOrderDetector):
     """Replay-by-physical-timestamp detection of Instantaneously(φ)."""
 
     name = "physical"
+    stamp = "physical"
 
-    def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
-        super().__init__(predicate, initials)
-
-    def finalize(self) -> list[Detection]:
-        records = self.store.all()
-        missing = [r for r in records if r.physical is None]
-        if missing:
-            raise ValueError(
-                f"{len(missing)} records lack physical stamps; configure "
-                "ClockConfig(physical=True)"
-            )
+    @staticmethod
+    def _sort_key(r: SensedEventRecord) -> tuple:
         # Total order: reported wall time, pid/seq tiebreak.
-        ordered = sorted(records, key=lambda r: (r.physical, r.pid, r.seq))
-        self.detections = []
-        prev = False
-        for rec, env, _ in self._replay(ordered):
-            cur = self.predicate.evaluate_safe(env)
-            if cur is None:
-                continue
-            if cur and not prev:
-                self.detections.append(
-                    Detection(self.name, rec, env, DetectionLabel.FIRM)
-                )
-            prev = bool(cur)
-        return self.detections
+        return (r.physical, r.pid, r.seq)
 
 
 __all__ = ["PhysicalClockDetector"]

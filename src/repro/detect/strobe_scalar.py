@@ -15,53 +15,19 @@ compares the two.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
-from repro.detect.base import Detection, DetectionLabel, Detector
-from repro.predicates.base import Predicate
+from repro.core.records import SensedEventRecord
+from repro.detect.base import TotalOrderDetector
 
 
-class ScalarStrobeDetector(Detector):
+class ScalarStrobeDetector(TotalOrderDetector):
     """Replay-by-scalar-strobe detection of Instantaneously(φ)."""
 
     name = "strobe_scalar"
+    stamp = "strobe_scalar"
 
-    def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
-        super().__init__(predicate, initials)
-
-    def frontier_snapshot(self) -> dict[str, Any]:
-        """Base summary plus the (value, pid, seq) linearization tail."""
-        snap = super().frontier_snapshot()
-        records = [r for r in self.store.all() if r.strobe_scalar is not None]
-        snap["linearization_tail"] = (
-            list(max((r.strobe_scalar.value, r.pid, r.seq) for r in records))
-            if records else None
-        )
-        return snap
-
-    def finalize(self) -> list[Detection]:
-        records = self.store.all()
-        missing = [r for r in records if r.strobe_scalar is None]
-        if missing:
-            raise ValueError(
-                f"{len(missing)} records lack strobe_scalar stamps; configure "
-                "ClockConfig(strobe_scalar=True)"
-            )
-        ordered = sorted(
-            records, key=lambda r: (r.strobe_scalar.value, r.pid, r.seq)
-        )
-        self.detections = []
-        prev = False
-        for rec, env, _ in self._replay(ordered):
-            cur = self.predicate.evaluate_safe(env)
-            if cur is None:
-                continue
-            if cur and not prev:
-                self.detections.append(
-                    Detection(self.name, rec, env, DetectionLabel.FIRM)
-                )
-            prev = bool(cur)
-        return self.detections
+    @staticmethod
+    def _sort_key(r: SensedEventRecord) -> tuple:
+        return (r.strobe_scalar.value, r.pid, r.seq)
 
 
 __all__ = ["ScalarStrobeDetector"]

@@ -127,6 +127,7 @@ class VectorStrobeDetector(Detector):
     """
 
     name = "strobe_vector"
+    stamp = "strobe_vector"
 
     def __init__(
         self,
@@ -138,18 +139,6 @@ class VectorStrobeDetector(Detector):
         super().__init__(predicate, initials)
         self._max_combos = int(max_race_combos)
         self._eval = _MemoizedEval(predicate)
-
-    def frontier_snapshot(self) -> dict[str, Any]:
-        """Base summary plus the (sum, pid, seq) linearization frontier
-        — the sort key of the last retained record, which fixes where
-        the offline replay's total order currently ends."""
-        snap = super().frontier_snapshot()
-        records = self.store.all()
-        snap["linearization_tail"] = (
-            [int(x) for x in self._sort_key(max(records, key=self._sort_key))]
-            if records else None
-        )
-        return snap
 
     # ------------------------------------------------------------------
     def _concurrency_matrix(self, records: list[SensedEventRecord]) -> np.ndarray:
@@ -433,17 +422,9 @@ class VectorStrobeDetector(Detector):
     def _sort_key(r: SensedEventRecord):
         return (r.strobe_vector.sum(), r.pid, r.seq)
 
-    def _check_stamps(self, records: list[SensedEventRecord]) -> None:
-        missing = [r for r in records if r.strobe_vector is None]
-        if missing:
-            raise ValueError(
-                f"{len(missing)} records lack strobe_vector stamps; configure "
-                "ClockConfig(strobe_vector=True)"
-            )
-
     def finalize(self) -> list[Detection]:
         records = self.store.all()
-        self._check_stamps(records)
+        self.check_stamps(records)
         if records:
             vecs_u = stack_timestamps([r.strobe_vector for r in records])
             # ``store.all()`` is (pid, seq)-sorted, so a stable argsort

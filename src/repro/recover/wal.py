@@ -7,7 +7,8 @@ directory and ingests sensed-event records one at a time, surviving
 * ``serve.json`` — immutable config (the manifest naming scenario,
   seed, Δ, check period, family) written once at creation;
 * ``wal.jsonl`` — the write-ahead log: every record is appended here
-  *before* it is fed to the detector;
+  *before* it is fed to the detector, and only once it decodes and
+  carries the family's stamp;
 * ``detections.jsonl`` — one line per emitted detection, durably
   appended at each checkpoint;
 * ``checkpoint.json`` — atomically replaced every ``checkpoint_every``
@@ -31,6 +32,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.core.records import SensedEventRecord
 from repro.recover.checkpoint import snapshot_digest
 from repro.recover.stream import record_from_spec
 from repro.replay.manifest import RunManifest
@@ -232,7 +234,7 @@ class WalServer:
                 f"{emitted} emitted detections"
             )
         for spec in specs:
-            self._feed(spec)
+            self._feed(*record_from_spec(spec))
         self.ingested_records = len(specs)
         self._ckpt_ingested = len(specs)
         regenerated = self._detection_lines()
@@ -251,21 +253,31 @@ class WalServer:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def _feed(self, spec: dict[str, Any]) -> None:
-        arrival, record = record_from_spec(spec)
+    def _feed(self, arrival: float, record: SensedEventRecord) -> None:
         if arrival > self.sim.now:
             self.sim.run(until=arrival)
         self.detector.feed(record)
 
     def ingest(self, spec: dict[str, Any]) -> None:
         """WAL-first ingest of one record spec; checkpoints every
-        ``checkpoint_every`` records."""
+        ``checkpoint_every`` records.
+
+        The spec is decoded and its stamp checked *before* the WAL
+        append: a record the detector would refuse must never become
+        durable, or every reopen would replay it and fail again.
+        """
         if self.finalized:
             raise WalError(f"{self.dir}: serve already finalized")
-        durable_append_lines(
-            self.wal_path, [json.dumps(spec, sort_keys=True)]
-        )
-        self._feed(spec)
+        line = json.dumps(spec, sort_keys=True)
+        try:
+            arrival, record = record_from_spec(spec)
+            self.detector.check_stamps((record,))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WalError(
+                f"{self.dir}: rejected record {line}: {type(exc).__name__}: {exc}"
+            ) from exc
+        durable_append_lines(self.wal_path, [line])
+        self._feed(arrival, record)
         self.ingested_records += 1
         if self.ingested_records - self._ckpt_ingested >= self.checkpoint_every:
             self.checkpoint()

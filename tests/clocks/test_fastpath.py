@@ -91,13 +91,6 @@ def test_backend_selection_by_width():
     assert wide.as_tuple() == (1,) * FASTPATH_MAX_N
 
 
-def test_interned_zeros_and_units():
-    assert VectorTimestamp.zeros(5) is VectorTimestamp.zeros(5)
-    assert VectorTimestamp.unit(5, 2) is VectorTimestamp.unit(5, 2)
-    assert VectorTimestamp.zeros(5).as_tuple() == (0,) * 5
-    assert VectorTimestamp.unit(5, 2).as_tuple() == (0, 0, 1, 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # Batch kernels vs the pairwise operators
 # ---------------------------------------------------------------------------

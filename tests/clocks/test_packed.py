@@ -1,11 +1,12 @@
-"""Equivalence properties for the packed-int64 timestamp encoding.
+"""Equivalence properties for the packed-uint64 batch kernels.
 
-The SWAR fast paths (pairwise ``__le__``/``__lt__``/``concurrent_with``
-and the :func:`_packed_leq`-backed batch kernels) must be unobservable:
-for every width n = 1..8 and any mix of packable and overflowing
-components, results agree bit-for-bit with the component-wise
-definitions.  These tests pin that claim, including the transparent
-fallback when a component exceeds :func:`packed_capacity`.
+The SWAR fast path (:func:`pack_matrix` feeding the
+:func:`_packed_leq`-backed batch and block kernels) must be
+unobservable: for every width n = 1..8 and any mix of packable and
+overflowing components, results agree bit-for-bit with the
+component-wise definitions and the pairwise operators.  These tests pin
+that claim, including the transparent fallback when a component
+exceeds the field capacity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.clocks.vector import (
     PACKED_MAX_N,
     VectorTimestamp,
+    _packed_leq,
     _sliced_leq,
     concurrency_block,
     concurrency_csr,
@@ -25,7 +27,6 @@ from repro.clocks.vector import (
     dominates_block,
     dominates_matrix,
     pack_matrix,
-    packed_capacity,
     stack_timestamps,
 )
 
@@ -35,11 +36,33 @@ def reference_leq(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def capacity(n: int) -> int:
+    """Largest component a width-n word holds: ``64 // n`` bits per
+    field, the top one a guard."""
+    return (1 << (64 // n - 1)) - 1
+
+
+def reference_pack(row) -> int:
+    """Component i shifted to bit ``i * (64 // n)``, OR-ed together."""
+    w = 64 // len(row)
+    word = 0
+    for i, c in enumerate(row):
+        word |= int(c) << (i * w)
+    return word
+
+
+def swar_leq(a, b) -> bool:
+    """The packed kernel's verdict on ``a <= b`` for one pair."""
+    packed = pack_matrix(np.asarray([a, b], dtype=np.int64))
+    assert packed is not None
+    return bool(_packed_leq(packed[:1], packed[1:], len(a))[0, 0])
+
+
 @st.composite
 def packable_pairs(draw):
     """Two same-width component tuples that both fit the packed form."""
     n = draw(st.integers(1, PACKED_MAX_N))
-    cap = packed_capacity(n)
+    cap = capacity(n)
     comp = st.integers(0, min(cap, 10_000))
     a = draw(st.lists(comp, min_size=n, max_size=n))
     # Bias toward comparable pairs: sometimes offset a, sometimes fresh.
@@ -56,7 +79,7 @@ def packable_pairs(draw):
 def mixed_pairs(draw):
     """Pairs where either side may overflow the packed capacity."""
     n = draw(st.integers(1, PACKED_MAX_N))
-    cap = packed_capacity(n)
+    cap = capacity(n)
     comp = st.integers(0, cap * 4 + 4)
     a = tuple(draw(st.lists(comp, min_size=n, max_size=n)))
     b = tuple(draw(st.lists(comp, min_size=n, max_size=n)))
@@ -65,10 +88,12 @@ def mixed_pairs(draw):
 
 @given(packable_pairs())
 def test_pairwise_packed_matches_componentwise(pair):
+    """On packable pairs the SWAR kernel, the pairwise operators and
+    the definition agree in both directions."""
     a, b = pair
     ta, tb = VectorTimestamp(a), VectorTimestamp(b)
-    assert ta.packed() is not None and tb.packed() is not None
-    assert (ta <= tb) == reference_leq(a, b)
+    assert swar_leq(a, b) == (ta <= tb) == reference_leq(a, b)
+    assert swar_leq(b, a) == (tb <= ta) == reference_leq(b, a)
     assert (ta < tb) == (a != b and reference_leq(a, b))
     assert ta.concurrent_with(tb) == (
         not reference_leq(a, b) and not reference_leq(b, a)
@@ -77,37 +102,19 @@ def test_pairwise_packed_matches_componentwise(pair):
 
 @given(mixed_pairs())
 def test_pairwise_overflow_falls_back(pair):
-    """Components beyond capacity: packed() is None and every operator
-    silently uses the component path with identical results."""
+    """Components beyond capacity: the pair has no packed form and the
+    block kernel silently uses the component path, agreeing with the
+    pairwise operators."""
     a, b = pair
+    cap = capacity(len(a))
+    vecs = np.asarray([a, b], dtype=np.int64)
+    assert (pack_matrix(vecs) is not None) == (max(a + b) <= cap)
     ta, tb = VectorTimestamp(a), VectorTimestamp(b)
-    cap = packed_capacity(len(a))
-    for t, comps in ((ta, a), (tb, b)):
-        expected_packable = max(comps) <= cap
-        assert (t.packed() is not None) == expected_packable
-    assert (ta <= tb) == reference_leq(a, b)
-    assert (ta < tb) == (a != b and reference_leq(a, b))
+    leq = dominates_block(vecs, vecs)
+    assert leq[0, 1] == (ta <= tb) == reference_leq(a, b)
+    assert leq[1, 0] == (tb <= ta) == reference_leq(b, a)
     assert ta.concurrent_with(tb) == (
         not reference_leq(a, b) and not reference_leq(b, a)
-    )
-
-
-@given(packable_pairs())
-def test_merge_hash_eq_unaffected_by_packed_warmup(pair):
-    """Warming the packed cache must not perturb merge/hash/eq."""
-    a, b = pair
-    cold_a, cold_b = VectorTimestamp(a), VectorTimestamp(b)
-    warm_a, warm_b = VectorTimestamp(a), VectorTimestamp(b)
-    warm_a.packed(), warm_b.packed()
-    assert (cold_a == cold_b) == (warm_a == warm_b) == (a == b)
-    assert hash(warm_a) == hash(cold_a)
-    merged_cold = cold_a.merge(cold_b)
-    merged_warm = warm_a.merge(warm_b)
-    assert merged_cold == merged_warm
-    assert merged_cold.as_tuple() == tuple(max(x, y) for x, y in zip(a, b))
-    # The merge result packs iff its components fit — and stays correct.
-    assert (merged_warm.packed() is not None) == (
-        max(merged_warm.as_tuple()) <= packed_capacity(len(a))
     )
 
 
@@ -116,7 +123,7 @@ def timestamp_matrices(draw):
     """(m, n) component matrices, n = 1..8, mostly packable."""
     n = draw(st.integers(1, PACKED_MAX_N))
     m = draw(st.integers(1, 10))
-    cap = packed_capacity(n)
+    cap = capacity(n)
     # Clamp below int64 range: n=1 has capacity 2**63 - 1, so doubling
     # it would overflow the component matrix dtype rather than exercise
     # the packed-capacity fallback.
@@ -139,13 +146,12 @@ def timestamp_matrices(draw):
 def test_pack_matrix_matches_scalar_packing(vecs):
     packed = pack_matrix(vecs)
     n = vecs.shape[1]
-    ts = [VectorTimestamp(row) for row in vecs]
-    if any(t.packed() is None for t in ts):
+    if int(vecs.max()) > capacity(n):
         assert packed is None
     else:
         assert packed is not None
         assert packed.dtype == np.uint64
-        assert [int(w) for w in packed] == [t.packed() for t in ts]
+        assert [int(w) for w in packed] == [reference_pack(r) for r in vecs]
 
 
 @given(timestamp_matrices())
@@ -218,33 +224,33 @@ def test_block_kernels_match_pairwise(vecs, data):
 def test_capacity_boundary(n):
     """A component at capacity packs; one past it does not — and both
     compare identically against a packable partner."""
-    cap = packed_capacity(n)
-    at = VectorTimestamp([cap] * n)
-    over = VectorTimestamp([cap] * (n - 1) + [cap + 1])
-    assert at.packed() is not None
-    assert over.packed() is None
-    small = VectorTimestamp([0] * n)
-    assert small <= at and small <= over
-    assert not (at <= small)
-    assert not (over <= small)
-    assert (at <= over) == reference_leq(at.as_tuple(), over.as_tuple())
-
-
-def test_interned_constants_prewarm_packed():
-    z = VectorTimestamp.zeros(4)
-    u = VectorTimestamp.unit(4, 2)
-    assert z._packed == 0
-    assert u.packed() == 1 << (2 * (64 // 4))
-    assert z <= u and not (u <= z)
+    cap = capacity(n)
+    small = [0] * n
+    at = [cap] * n
+    packed = pack_matrix(np.asarray([small, at], dtype=np.int64))
+    assert packed is not None
+    assert [int(w) for w in packed] == [reference_pack(small), reference_pack(at)]
+    rows = [small, at]
+    if cap < np.iinfo(np.int64).max:     # n = 1: nothing overflows a word
+        over = [cap] * (n - 1) + [cap + 1]
+        assert pack_matrix(np.asarray([small, over], dtype=np.int64)) is None
+        rows.append(over)
+    vecs = np.asarray(rows, dtype=np.int64)
+    leq = dominates_matrix([], vecs=vecs)
+    assert leq[0].all() and not leq[1:, 0].any()
+    ts = [VectorTimestamp(r) for r in rows]
+    assert np.array_equal(
+        leq, np.array([[x <= y for y in ts] for x in ts], dtype=bool)
+    )
 
 
 @settings(max_examples=25)
 @given(st.integers(1, PACKED_MAX_N))
 def test_stack_roundtrip_width(n):
-    ts = [VectorTimestamp.unit(n, p) for p in range(n)]
-    vecs = stack_timestamps(ts)
+    units = [tuple(int(i == p) for i in range(n)) for p in range(n)]
+    vecs = stack_timestamps([VectorTimestamp(u) for u in units])
     assert vecs.shape == (n, n)
     assert np.array_equal(vecs, np.eye(n, dtype=np.int64))
     packed = pack_matrix(vecs)
     assert packed is not None
-    assert [int(w) for w in packed] == [t.packed() for t in ts]
+    assert [int(w) for w in packed] == [1 << (p * (64 // n)) for p in range(n)]

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.detect.base import Detection, DetectionLabel, Detector, RecordStore
+from repro.detect.base import (
+    Detection,
+    DetectionLabel,
+    Detector,
+    RecordStore,
+    TotalOrderDetector,
+)
 from repro.predicates.relational import RelationalPredicate
 
 
@@ -54,16 +60,24 @@ def test_feed_many(rec):
     assert len(d.store) == 2
 
 
-def test_replay_tracks_previous_values(rec):
-    class D(Detector):
-        def finalize(self):
-            return []
+def test_total_order_replay_snapshots_env_per_emission(rec):
+    """The shared replay mutates one live environment but hands each
+    detection its own copy, taken at the rising edge."""
+    class D(TotalOrderDetector):
+        stamp = "physical"
+
+        @staticmethod
+        def _sort_key(r):
+            return (r.physical, r.pid, r.seq)
+
     d = D(phi(), {"x": 0, "y": 0})
-    r1 = rec(0, "x", 3, true_time=0.0)
-    r2 = rec(0, "x", 7, true_time=1.0)
-    out = d._replay([r1, r2])
-    assert out[0][1]["x"] == 3 and out[0][2] == 0
-    assert out[1][1]["x"] == 7 and out[1][2] == 3
+    d.feed(rec(0, "x", 9, true_time=0.0, physical=1.0))    # rising edge
+    d.feed(rec(0, "x", 0, true_time=1.0, physical=2.0))    # falls
+    d.feed(rec(1, "y", 6, true_time=2.0, physical=3.0))    # rises again
+    out = d.finalize()
+    assert [det.env for det in out] == [{"x": 9, "y": 0}, {"x": 0, "y": 6}]
+    assert all(det.detail is None and det.firm for det in out)
+    assert d.finalize() == out                             # idempotent
 
 
 def test_detection_firm_property(rec):
@@ -89,3 +103,55 @@ def test_attach_taps_process_streams():
     s.world.set_attribute("room", "temp", 31)
     s.run()
     assert len(d.store) == 1           # arrived via strobe at p0
+
+
+def _family_detector(family):
+    from repro.detect.online import (
+        OnlineScalarStrobeDetector,
+        OnlineVectorStrobeDetector,
+    )
+    from repro.detect.physical import PhysicalClockDetector
+    from repro.detect.strobe_scalar import ScalarStrobeDetector
+    from repro.detect.strobe_vector import VectorStrobeDetector
+    from repro.sim.kernel import Simulator
+
+    initials = {"x": 0, "y": 0}
+    online = {
+        "vector_strobe": OnlineVectorStrobeDetector,
+        "scalar_strobe": OnlineScalarStrobeDetector,
+    }
+    if family in online:
+        return online[family](Simulator(), phi(), initials, delta=0.1)
+    offline = {
+        "offline_vector_strobe": VectorStrobeDetector,
+        "offline_scalar_strobe": ScalarStrobeDetector,
+        "physical": PhysicalClockDetector,
+    }
+    return offline[family](phi(), initials)
+
+
+@pytest.mark.parametrize("family", [
+    "vector_strobe", "scalar_strobe",
+    "offline_vector_strobe", "offline_scalar_strobe", "physical",
+])
+def test_missing_stamp_is_rejected(rec, family):
+    """A record lacking the family's stamp (but carrying every other)
+    fails loudly: offline detectors at finalize, online detectors at
+    feed — before the record reaches the store."""
+    import dataclasses
+
+    det = _family_detector(family)
+    good = rec(0, "x", 1, true_time=0.0, scalar=1, vector=(1, 0), physical=0.0)
+    bad = dataclasses.replace(
+        rec(1, "y", 9, true_time=0.5, scalar=2, vector=(1, 1), physical=0.5),
+        **{det.stamp: None},
+    )
+    det.feed(good)
+    if family in ("vector_strobe", "scalar_strobe"):
+        with pytest.raises(ValueError, match=det.stamp):
+            det.feed(bad)
+        assert det.store.keys() == [good.key()]
+    else:
+        det.feed(bad)
+        with pytest.raises(ValueError, match=det.stamp):
+            det.finalize()

@@ -175,28 +175,39 @@ def test_feed_order_does_not_matter(script, shuffle_seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(scripts, st.floats(min_value=0.01, max_value=1.0), st.integers(0, 500))
-def test_online_equals_offline_under_random_delays(script, delta, seed):
-    """Property: for ANY script and ANY Δ-bounded delay, the online
-    watermark detector's final output equals the offline replay
-    (no loss; the 2Δ stability argument)."""
-    from repro.detect.online import OnlineVectorStrobeDetector
+@given(
+    scripts, st.floats(min_value=0.01, max_value=1.0), st.integers(0, 500),
+    st.sampled_from(["vector", "scalar"]),
+)
+def test_online_equals_offline_under_random_delays(script, delta, seed, family):
+    """Property: for ANY script, ANY Δ-bounded delay and either strobe
+    family, the online watermark detector's final output equals the
+    offline replay (no loss; the 2Δ stability argument)."""
+    from repro.detect.online import (
+        OnlineScalarStrobeDetector,
+        OnlineVectorStrobeDetector,
+    )
     from repro.net.delay import DeltaBoundedDelay
 
+    online_cls, offline_cls = {
+        "vector": (OnlineVectorStrobeDetector, VectorStrobeDetector),
+        "scalar": (OnlineScalarStrobeDetector, ScalarStrobeDetector),
+    }[family]
     system = PervasiveSystem(SystemConfig(
         n_processes=2, seed=seed, delay=DeltaBoundedDelay(delta),
-        clocks=ClockConfig(strobe_vector=True),
+        clocks=ClockConfig(
+            strobe_vector=family == "vector", strobe_scalar=family == "scalar",
+        ),
     ))
-    store_targets = []
     for i in range(2):
         system.world.create(f"obj{i}", v=0)
         system.processes[i].track(f"v{i}", f"obj{i}", "v", initial=0)
     phi = occupancy()
     initials = {"v0": 0, "v1": 0}
-    online = OnlineVectorStrobeDetector(
+    online = online_cls(
         system.sim, phi, initials, delta=delta, check_period=delta / 2,
     )
-    offline = VectorStrobeDetector(phi, initials)
+    offline = offline_cls(phi, initials)
     online.attach(system.processes[0])
     offline.attach(system.processes[0])
     online.start()
@@ -211,4 +222,5 @@ def test_online_equals_offline_under_random_delays(script, delta, seed):
     off_out = offline.finalize()
     assert [d.trigger.key() for d in on_out] == [d.trigger.key() for d in off_out]
     assert [d.label for d in on_out] == [d.label for d in off_out]
+    assert [d.env for d in on_out] == [d.env for d in off_out]
     assert online.late_records == 0
