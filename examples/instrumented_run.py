@@ -29,12 +29,12 @@ def main() -> None:
     # post-event hook, so the run's event order and RNG draws are
     # exactly what they would be without instrumentation.
     obs = Observability(tracer=SpanTracer(office.system.sim))
-    instrument_system(office.system, obs, sample_every=200)
+    instrument_system(office.system, obs.registry, sample_every=200)
 
+    # Attaching binds the detector to the instrumented host process.
     detector = OnlineVectorStrobeDetector(
         office.system.sim, office.predicate, office.initials, delta=DELTA,
     )
-    detector.bind_obs(obs.registry)
     office.attach_detector(detector)
     detector.start()
 

@@ -264,9 +264,10 @@ def cmd_obs_run(args) -> int:
     )
     system = scenario.system
     obs = Observability(tracer=SpanTracer(system.sim))
-    instrument_system(system, obs, sample_every=args.sample_every)
+    probe = instrument_system(
+        system, obs.registry, sample_every=args.sample_every
+    )
     det = build_detector(manifest, scenario, phi, initials).detector
-    det.bind_obs(obs.registry)
 
     with obs.tracer.span("scenario.run", t=0.0, scenario=args.scenario):
         scenario.run(manifest.duration)
@@ -275,7 +276,7 @@ def cmd_obs_run(args) -> int:
 
     # Modal query over the same record stream: lattice metrics.
     lat = LatticeDetector(phi, initials, system.n, max_states=args.max_lattice)
-    lat.bind_obs(obs.registry)
+    lat.bind_probe(probe)
     lat.feed_many(det.store.all())
     with obs.tracer.span("lattice.modalities"):
         try:

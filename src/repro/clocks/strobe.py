@@ -37,29 +37,23 @@ from repro.clocks.scalar import ScalarTimestamp
 from repro.clocks.vector import FASTPATH_MAX_N, VectorTimestamp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Gauge, Histogram, MetricsRegistry
-
-#: Buckets for the catch-up (skew) histograms: how many ticks a merge
-#: advanced the local clock by — powers of two up to 2^10.
-_CATCHUP_BUCKETS = [0.0] + [float(2 ** k) for k in range(11)]
+    from repro.obs.probe import Probe
 
 
 class _StrobeBase(StrobeClock[T]):
     """What both strobe clock families share: the pid, the SVC1/SVC2
-    (SSC1/SSC2) invocation counters, and ``bind_obs``.
+    (SSC1/SSC2) invocation counters, and ``bind_probe``.
 
     All strobe clocks in a system share the same aggregate instruments
     (``clock.strobe.*``).  The counts read the invocation counters; the
-    catch-up distribution and skew are pushed through handles that
-    default to ``None``, so the unbound hot path costs one ``is None``
-    test per strobe merge.
+    catch-up of each merge is pushed through the probe, so the unbound
+    hot path costs one ``is None`` test per strobe merge.
     """
 
     _pid: int
     _relevant_events = 0
     _strobes_received = 0
-    _m_catchup: "Histogram | None" = None
-    _m_skew: "Gauge | None" = None
+    _probe: "Probe | None" = None
 
     @property
     def pid(self) -> int:
@@ -75,21 +69,9 @@ class _StrobeBase(StrobeClock[T]):
         """SVC2/SSC2 invocations so far."""
         return self._strobes_received
 
-    def bind_obs(self, registry: "MetricsRegistry") -> None:
-        size = self.strobe_size()
-        registry.counter("clock.strobe.emitted").read_from(
-            lambda: self._relevant_events
-        )
-        registry.counter("clock.strobe.merged").read_from(
-            lambda: self._strobes_received
-        )
-        registry.counter("clock.strobe.payload_units").read_from(
-            lambda: self._relevant_events * size
-        )
-        self._m_catchup = registry.histogram(
-            "clock.strobe.catchup", buckets=_CATCHUP_BUCKETS
-        )
-        self._m_skew = registry.gauge("clock.strobe.skew")
+    def bind_probe(self, probe: "Probe") -> None:
+        self._probe = probe
+        probe.bind(self, "strobe")
 
 
 class StrobeVectorClock(_StrobeBase[VectorTimestamp]):
@@ -131,14 +113,12 @@ class StrobeVectorClock(_StrobeBase[VectorTimestamp]):
         """SVC2: component-wise max merge; **no** local tick."""
         if strobe.n != self._n:
             raise ClockError(f"strobe width mismatch: {self._n} vs {strobe.n}")
-        if self._m_catchup is not None:
-            assert self._m_skew is not None
+        probe = self._probe
+        if probe is not None and probe.strobe_catchup is not None:
             # Catch-up: total ticks this merge advances the local view by.
-            gain = sum(
+            probe.strobe_catchup(sum(
                 r - x for r, x in zip(strobe.as_tuple(), self._v) if r > x
-            )
-            self._m_catchup.observe(gain)
-            self._m_skew.set(gain)
+            ))
         if self._small:
             v = self._v
             for k, r in enumerate(strobe.as_tuple()):
@@ -207,11 +187,9 @@ class StrobeScalarClock(_StrobeBase[ScalarTimestamp]):
 
     def on_strobe(self, strobe: ScalarTimestamp) -> ScalarTimestamp:
         """SSC2: ``C = max(C, T)``; **no** local tick."""
-        if self._m_catchup is not None:
-            assert self._m_skew is not None
-            gain = max(strobe.value - self._value, 0)
-            self._m_catchup.observe(gain)
-            self._m_skew.set(gain)
+        probe = self._probe
+        if probe is not None and probe.strobe_catchup is not None:
+            probe.strobe_catchup(max(strobe.value - self._value, 0))
         self._value = max(self._value, strobe.value)
         self._strobes_received += 1
         return self.read()

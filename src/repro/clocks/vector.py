@@ -38,7 +38,7 @@ import numpy as np
 from repro.clocks.base import Clock, ClockError, validate_pid
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Counter, MetricsRegistry
+    from repro.obs.probe import Probe
 
 Ordering = Literal["<", ">", "=", "||"]
 
@@ -587,17 +587,16 @@ class VectorClock(Clock[VectorTimestamp]):
             self._v = [0] * self._n
         else:
             self._v = np.zeros(self._n, dtype=np.int64)
-        # Observability handles (None = no-op fast path).
-        self._m_ticks: "Counter | None" = None
-        self._m_merges: "Counter | None" = None
-        self._m_piggyback: "Counter | None" = None
+        #: VC1 local events, VC2 sends and VC3 receives so far
+        self.local_events = 0
+        self.sends = 0
+        self.receives = 0
+        self._probe: "Probe | None" = None
 
-    def bind_obs(self, registry: "MetricsRegistry") -> None:
-        """Attach causality-clock metrics: VC1/VC2 ticks, VC3 merges,
-        and piggyback units (each send carries the full n-vector)."""
-        self._m_ticks = registry.counter("clock.vector.ticks")
-        self._m_merges = registry.counter("clock.vector.merges")
-        self._m_piggyback = registry.counter("clock.vector.piggyback_units")
+    def bind_probe(self, probe: "Probe") -> None:
+        """Expose the VC1/VC2/VC3 counts to ``probe``'s catalog."""
+        self._probe = probe
+        probe.bind(self, "vector")
 
     @property
     def pid(self) -> int:
@@ -609,16 +608,12 @@ class VectorClock(Clock[VectorTimestamp]):
 
     def on_local_event(self) -> VectorTimestamp:
         self._v[self._pid] += 1
-        if self._m_ticks is not None:
-            self._m_ticks.inc()
+        self.local_events += 1
         return self.read()
 
     def on_send(self) -> VectorTimestamp:
         self._v[self._pid] += 1
-        if self._m_ticks is not None:
-            assert self._m_piggyback is not None
-            self._m_ticks.inc()
-            self._m_piggyback.inc(self._n)
+        self.sends += 1
         return self.read()
 
     def on_receive(self, remote: VectorTimestamp) -> VectorTimestamp:
@@ -632,8 +627,7 @@ class VectorClock(Clock[VectorTimestamp]):
         else:
             np.maximum(self._v, remote.as_array(), out=self._v)  # type: ignore[call-overload]
         self._v[self._pid] += 1
-        if self._m_merges is not None:
-            self._m_merges.inc()
+        self.receives += 1
         return self.read()
 
     def read(self) -> VectorTimestamp:

@@ -21,8 +21,8 @@ to stamping the oracle fields of events/records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.clocks.physical import PhysicalClock, PhysicalVectorClock
 from repro.clocks.scalar import LamportClock
@@ -34,6 +34,9 @@ from repro.net.message import Message
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
 from repro.world.objects import AttributeChange, WorldState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.probe import Probe
 
 #: Called with every record this process emits locally (its own senses).
 RecordListener = Callable[[SensedEventRecord], None]
@@ -158,11 +161,11 @@ class SensorProcess:
         self._rejoining = False
         #: (var, obj, attr, plain) per track() call — replayed on restart
         self._trackings: list[tuple[str, str, str, bool]] = []
-        # Trace handle (None = no-op fast path); survives restart() —
-        # the recorder outlives the process's volatile state.
-        self._trace = None
-        # Registries given to bind_obs(), for restart() to rebind.
-        self._obs_registries: list = []
+        # Instrumentation handle (None = no-op fast path); survives
+        # restart() — the probe outlives the process's volatile state.
+        self._probe: "Probe | None" = None
+        #: detectors attached here, bound to the probe with the process
+        self._probed: list = []
 
         net.register(pid, self._on_message)
 
@@ -210,22 +213,28 @@ class SensorProcess:
         """Register a handler for semantic messages of ``kind``."""
         self._app_handlers[kind] = handler
 
-    def bind_obs(self, registry) -> None:
-        """Attach every clock of this process that has metrics to
-        ``registry``; :meth:`restart` binds the clocks it rebuilds too."""
-        self._obs_registries.append(registry)
-        for clock in (
-            self.lamport, self.vector, self.strobe_scalar,
-            self.strobe_vector, self.physical_vector,
-        ):
-            bind = getattr(clock, "bind_obs", None)
-            if bind is not None:
-                bind(registry)
+    def bind_probe(self, probe: "Probe") -> None:
+        """Report this process's event log funnel (c/n/a entries; s/r
+        are recorded at the transport) to ``probe``, and bind its
+        metered clocks and the detectors attached to it.  :meth:`restart`
+        binds the clocks it rebuilds, :meth:`add_probed` later
+        detectors."""
+        self._probe = probe
+        self._bind_clocks()
+        for component in self._probed:
+            component.bind_probe(probe)
 
-    def bind_trace(self, recorder) -> None:
-        """Attach a flight recorder to this process's event log funnel
-        (c/n/a entries; s/r are recorded at the transport)."""
-        self._trace = recorder
+    def _bind_clocks(self) -> None:
+        for clock in (self.vector, self.strobe_scalar, self.strobe_vector):
+            if clock is not None:
+                clock.bind_probe(self._probe)
+
+    def add_probed(self, component: Any) -> None:
+        """Bind ``component`` (a detector attached here) to this
+        process's probe, now if it has one or else when it gets one."""
+        self._probed.append(component)
+        if self._probe is not None:
+            component.bind_probe(self._probe)
 
     # ------------------------------------------------------------------
     # Event machinery
@@ -238,8 +247,8 @@ class SensorProcess:
         )
         if self._keep_log:
             self.events.append(ev)
-        if self._trace is not None:
-            self._trace.record_event(ev)
+        if self._probe is not None:
+            self._probe.record_event(ev)
         return ev
 
     def _stamp_local(self) -> dict:
@@ -439,9 +448,8 @@ class SensorProcess:
             self.physical_vector = PhysicalVectorClock(
                 self.pid, self.n, self.physical_clock
             )
-        registries, self._obs_registries = self._obs_registries, []
-        for registry in registries:
-            self.bind_obs(registry)
+        if self._probe is not None:
+            self._bind_clocks()
         for var, obj, attr, plain in self._trackings:
             if plain:
                 # §4.2.2 reboot re-sample: restart re-reads tracked state

@@ -12,6 +12,7 @@ wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.clocks.physical import DriftModel, PhysicalClock
 from repro.core.process import ClockConfig, SensorProcess
@@ -21,6 +22,9 @@ from repro.net.mac import DutyCycleMAC
 from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.probe import Probe
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.world.covert import CovertChannel
@@ -87,6 +91,8 @@ class PervasiveSystem:
         self.rng = RngRegistry(seed=config.seed)
         self.world = WorldState(self.sim)          # the O plane
         self.covert_channels: list[CovertChannel] = []   # the C plane
+        #: the instrumentation probe (repro.obs.instrument_system sets it)
+        self.probe: "Probe | None" = None
         topo = topology or Topology.complete(config.n_processes)
         self.net = Network(                         # the L plane
             self.sim,

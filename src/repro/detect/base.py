@@ -106,6 +106,11 @@ class Detector:
     #: None when it needs no stamp (see :meth:`check_stamps`).  A
     #: stamped detector also defines ``_sort_key``, its total order.
     stamp: "str | None" = None
+    #: pid of the process :meth:`attach` last tapped (detection
+    #: entries name it as the emitting host)
+    host = 0
+    #: instrumentation handle (None = no-op fast path)
+    _probe = None
 
     def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
         missing = [v for v in predicate.variables if v not in initials]
@@ -129,11 +134,19 @@ class Detector:
 
     def attach(self, process, *, local: bool = True, strobes: bool = True) -> None:
         """Tap a :class:`~repro.core.process.SensorProcess` so its
-        record streams flow into this detector."""
+        record streams flow into this detector, which reports to the
+        process's probe (now, or once the process is instrumented)."""
+        self.host = process.pid
         if local:
             process.add_record_listener(self.feed)
         if strobes:
             process.add_strobe_listener(self.feed)
+        process.add_probed(self)
+
+    def bind_probe(self, probe) -> None:
+        """Hold ``probe``; detectors with metrics or emissions also
+        register with its catalog."""
+        self._probe = probe
 
     def check_stamps(self, records: Iterable[SensedEventRecord]) -> None:
         """Raise ``ValueError`` if any record lacks :attr:`stamp`."""

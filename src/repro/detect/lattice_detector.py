@@ -67,24 +67,18 @@ class LatticeDetector(Detector):
         self._lattice: StateLattice | None = None
         self._seen_seqs: list[list[int]] = []
         self.last_stats = None
-        # Observability handles (None = no-op fast path).
-        self._m_queries = None
-        self._m_cuts = None
-        self._m_states = None
-        self._m_width = None
-        self._m_extends = None
-        self._m_rebuilds = None
+        #: modal queries answered, and the cuts their lattices held
+        self.queries = 0
+        self.cuts_evaluated = 0
+        #: how often the incremental front was extended vs rebuilt
+        self.extends = 0
+        self.rebuilds = 0
 
-    def bind_obs(self, registry) -> None:
-        """Attach lattice metrics: modal queries run, cuts enumerated,
-        the size/width of the most recent lattice, and how often the
-        incremental front was extended vs rebuilt."""
-        self._m_queries = registry.counter("detect.lattice.queries")
-        self._m_cuts = registry.counter("detect.lattice.cuts_evaluated")
-        self._m_states = registry.gauge("detect.lattice.states")
-        self._m_width = registry.gauge("detect.lattice.max_width")
-        self._m_extends = registry.counter("detect.lattice.extends")
-        self._m_rebuilds = registry.counter("detect.lattice.rebuilds")
+    def bind_probe(self, probe) -> None:
+        """Expose the query, cut, extend and rebuild counts and the most
+        recent lattice's size and width to ``probe``'s catalog."""
+        self._probe = probe
+        probe.bind(self, "lattice")
 
     def _stamps_of(self, recs) -> list:
         out = []
@@ -115,12 +109,10 @@ class LatticeDetector(Detector):
                     for i in range(self._n)
                 ]
             )
-            if self._m_extends is not None:
-                self._m_extends.inc()
+            self.extends += 1
         else:
             lattice = StateLattice(timestamps, max_states=self._max_states)
-            if self._m_rebuilds is not None:
-                self._m_rebuilds.inc()
+            self.rebuilds += 1
         if self._incremental:
             self._lattice = lattice
             self._seen_seqs = seqs
@@ -148,11 +140,8 @@ class LatticeDetector(Detector):
 
         possibly, definitely = lattice.evaluate(state_of, pred)
         self.last_stats = lattice.stats()
-        if self._m_queries is not None:
-            self._m_queries.inc()
-            self._m_cuts.inc(self.last_stats.n_states)
-            self._m_states.set(self.last_stats.n_states)
-            self._m_width.set(self.last_stats.max_width)
+        self.queries += 1
+        self.cuts_evaluated += self.last_stats.n_states
         return possibly, definitely
 
     def finalize(self):

@@ -52,54 +52,12 @@ from repro.predicates.base import Predicate
 from repro.sim.kernel import Simulator
 from repro.sim.timers import GridTimer
 
-#: Buckets for detection-latency histograms (simulated seconds).
-_LATENCY_BUCKETS = [10 ** (k / 2) for k in range(-6, 7)]
-
-
-class _OnlineObsMixin:
-    """Shared ``bind_obs`` for the online (watermark) detectors.
-
-    Aggregate ``detect.*`` instruments.  The record, processed, late
-    and quarantine counts read the detector's own; the rest are pushed
-    through handles that default to ``None``, so uninstrumented runs
-    pay one ``is None`` test per operation.
-    """
-
-    _m_flushes = None
-    _m_backlog = None
-    _m_latency = None
-    _m_quarantined = None
-    _trace = None
-    _trace_host = 0
-
-    def bind_trace(self, recorder, *, host: int = 0) -> None:
-        """Attach a flight recorder: every emission records a detection
-        entry (trigger key, label, emit time) at ``host`` — the process
-        this detector is attached to."""
-        self._trace = recorder
-        self._trace_host = int(host)
-
-    def bind_obs(self, registry) -> None:
-        registry.counter("detect.records").read_from(lambda: len(self.store))
-        registry.counter("detect.processed").read_from(self._processed_total)
-        registry.counter("detect.late_records").read_from(lambda: self.late_records)
-        registry.counter("detect.quarantine_events").read_from(
-            lambda: self.quarantine_events
-        )
-        self._m_flushes = registry.counter("detect.flushes")
-        self._m_backlog = registry.gauge("detect.backlog")
-        self._m_latency = registry.histogram(
-            "detect.emit_latency_s", buckets=_LATENCY_BUCKETS
-        )
-        self._m_quarantined = registry.gauge("detect.quarantined")
-
-
 class _LivenessMixin:
     """Liveness tracking + quarantine for the online detectors.
 
     A process that has fed the detector nothing for ``liveness_horizon``
     simulated seconds is *quarantined*: added to :attr:`quarantined`,
-    counted, and flagged through obs.  Quarantine is advisory — the
+    counted, and read by obs.  Quarantine is advisory — the
     detector keeps processing whatever arrives (its watermark is
     arrival-driven, so a silent process never stalls it), but consumers
     evaluating ``Definitely``-style conjunctions over per-process
@@ -129,8 +87,6 @@ class _LivenessMixin:
         self._last_heard[pid] = now
         if pid in self.quarantined:
             self.quarantined.discard(pid)
-            if self._m_quarantined is not None:
-                self._m_quarantined.set(len(self.quarantined))
             return True
         return fresh
 
@@ -142,11 +98,9 @@ class _LivenessMixin:
             if pid not in self.quarantined and now - self._last_heard[pid] > horizon:
                 self.quarantined.add(pid)
                 self.quarantine_events += 1
-                if self._m_quarantined is not None:
-                    self._m_quarantined.set(len(self.quarantined))
 
 
-class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
+class _WatermarkMixin(_LivenessMixin):
     """Arrival bookkeeping and event-driven flushing shared by the
     online detectors.
 
@@ -185,9 +139,18 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
         #: sort key of the last record stepped past the watermark
         self._last_key: tuple | None = None
         self.late_records = 0
+        #: flushes run so far (``detect.flushes``)
+        self.flushes = 0
         #: (detection, emit_time) pairs for latency analysis
         self.emissions: list[tuple[Detection, float]] = []
         self._grid = GridTimer(sim, self.flush, period=check_period, label=label)
+
+    def bind_probe(self, probe) -> None:
+        """Report to ``probe``: every emission's latency and detection
+        entry (at :attr:`host`); its catalog reads the record,
+        processed, late, flush and quarantine counts."""
+        self._probe = probe
+        probe.bind(self, "online")
 
     def start(self) -> None:
         """Begin watermark flushes on the ``check_period`` grid."""
@@ -279,8 +242,7 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
         prefix is never revisited."""
         now = self._sim.now
         self._update_quarantine(now)
-        if self._m_flushes is not None:
-            self._m_flushes.inc()
+        self.flushes += 1
         if self._new:
             self._absorb_new()
         arrivals = self._arrivals
@@ -296,16 +258,12 @@ class _WatermarkMixin(_LivenessMixin, _OnlineObsMixin):
             self._flush_stable(pending, stable, now)
             self._pending = pending[stable:]
             self._last_key = self._sort_key(pending[stable - 1])
+            probe = self._probe
             for d in self.detections[start:]:
                 self.emissions.append((d, now))
-                if self._m_latency is not None:
-                    self._m_latency.observe(now - d.trigger.true_time)
-                if self._trace is not None:
-                    self._trace.record_detection(d, now, self._trace_host)
-        if self._m_backlog is not None:
-            self._m_backlog.set(
-                len(self.store) - self._processed_total() - self.late_records
-            )
+                if probe is not None:
+                    probe.emit_latency_s(now - d.trigger.true_time)
+                    probe.record_detection(d, now, self.host)
         self._rearm()
 
     def finalize(self) -> list[Detection]:
@@ -472,7 +430,7 @@ class OnlineVectorStrobeDetector(_WatermarkMixin, VectorStrobeDetector):
         del vars_l[prefix_len + stable:]
         del vals_l[prefix_len + stable:]
 
-    def _processed_total(self) -> int:
+    def processed_total(self) -> int:
         """Records stepped past the watermark (``detect.processed``)."""
         return len(self._processed)
 
@@ -531,7 +489,7 @@ class OnlineScalarStrobeDetector(_WatermarkMixin, ScalarStrobeDetector):
             self._step(rec, extra)
         self._processed_count += stable
 
-    def _processed_total(self) -> int:
+    def processed_total(self) -> int:
         """Records stepped past the watermark (late ones are skipped)."""
         return self._processed_count
 

@@ -37,8 +37,7 @@ from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import PervasiveSystem
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.tracer import SpanTracer
+    from repro.obs.probe import Probe
 
 
 class FaultInjector:
@@ -70,11 +69,13 @@ class FaultInjector:
         self._armed = False
         #: (time, action) log of applied faults, in firing order.
         self.applied: list[tuple[float, str]] = []
-        self._active = 0
-        self._m_injected = None
-        self._m_cleared = None
-        self._m_active = None
-        self._tracer: "SpanTracer | None" = None
+        #: fault windows open now, and faults started/cleared so far
+        self.active = 0
+        self.injected = 0
+        self.cleared = 0
+        self._probe: "Probe | None" = None
+        if system.probe is not None:
+            self.bind_probe(system.probe)
 
     @property
     def plan(self) -> FaultPlan:
@@ -84,13 +85,12 @@ class FaultInjector:
     def seed(self) -> int:
         return self._seed
 
-    def bind_obs(
-        self, registry: "MetricsRegistry", tracer: "SpanTracer | None" = None
-    ) -> None:
-        self._m_injected = registry.counter("faults.injected")
-        self._m_cleared = registry.counter("faults.cleared")
-        self._m_active = registry.gauge("faults.active")
-        self._tracer = tracer
+    def bind_probe(self, probe: "Probe") -> None:
+        """Expose the injected, cleared and active counts to ``probe``'s
+        catalog (an injector built on an instrumented system binds its
+        probe itself)."""
+        self._probe = probe
+        probe.bind(self, "faults")
 
     # ------------------------------------------------------------------
     def arm(self) -> None:
@@ -125,7 +125,7 @@ class FaultInjector:
             "seed": self._seed,
             "armed": self._armed,
             "applied": [[t, action] for t, action in self.applied],
-            "active": self._active,
+            "active": self.active,
             "rng": self._rngs.state_snapshot(),
         }
 
@@ -136,21 +136,13 @@ class FaultInjector:
             raise FaultError(f"no handler for action {ev.action!r}")
         handler(ev, rng)
         self.applied.append((self._system.sim.now, ev.action))
-        clearing = ev.action in set(PAIRED.values())
-        if clearing:
-            self._active = max(0, self._active - 1)
-            if self._m_cleared is not None:
-                self._m_cleared.inc()
+        if ev.action in set(PAIRED.values()):
+            self.active = max(0, self.active - 1)
+            self.cleared += 1
         else:
             if ev.action in PAIRED:
-                self._active += 1
-            if self._m_injected is not None:
-                self._m_injected.inc()
-        if self._m_active is not None:
-            self._m_active.set(self._active)
-        if self._tracer is not None:
-            with self._tracer.span(f"fault.{ev.action}", **dict(ev.params)):
-                pass
+                self.active += 1
+            self.injected += 1
 
     # -- process faults -------------------------------------------------
     def _apply_crash(self, ev: FaultEvent, rng: np.random.Generator) -> None:

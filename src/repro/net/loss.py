@@ -19,16 +19,16 @@ import numpy as np
 class LossModel(ABC):
     """Decides, per message, whether it is dropped.
 
-    ``bind_obs`` attaches drop accounting to a
-    :class:`~repro.obs.registry.MetricsRegistry`; unbound models pay a
-    single ``is None`` test per decision (subclasses with richer state,
-    e.g. :class:`GilbertElliottLoss`, add their own instruments).
+    A model keeps no drop count of its own: the transport counts every
+    drop it decides (``NetworkStats.dropped_loss``), and
+    ``net.loss.drops`` reads that.  Subclasses with richer state (e.g.
+    :class:`GilbertElliottLoss`) expose it to the probe's catalog.
     """
 
-    _m_drops = None        # Counter | None — the no-op fast path
+    _probe = None          # set by bind_probe (the transport binds it)
 
-    def bind_obs(self, registry) -> None:
-        self._m_drops = registry.counter("net.loss.drops")
+    def bind_probe(self, probe) -> None:
+        self._probe = probe
 
     @abstractmethod
     def drops(self, rng: np.random.Generator) -> bool:
@@ -58,10 +58,7 @@ class BernoulliLoss(LossModel):
         return self._p
 
     def drops(self, rng: np.random.Generator) -> bool:
-        dropped = bool(rng.random() < self._p)
-        if dropped and self._m_drops is not None:
-            self._m_drops.inc()
-        return dropped
+        return bool(rng.random() < self._p)
 
     def __repr__(self) -> str:
         return f"BernoulliLoss({self._p})"
@@ -98,16 +95,16 @@ class GilbertElliottLoss(LossModel):
         self._p_bad = p_bad
         self._bad = bool(start_bad)
         self._start_bad = bool(start_bad)
-        self._m_transitions = None
+        #: good<->bad state changes so far
+        self.transitions = 0
 
     @property
     def in_bad_state(self) -> bool:
         return self._bad
 
-    def bind_obs(self, registry) -> None:
-        super().bind_obs(registry)
-        self._m_transitions = registry.counter("net.loss.burst_transitions")
-        registry.gauge("net.loss.in_bad_state").read_from(lambda: float(self._bad))
+    def bind_probe(self, probe) -> None:
+        self._probe = probe
+        probe.bind(self, "gilbert_elliott")
 
     def drops(self, rng: np.random.Generator) -> bool:
         # Transition first, then sample loss in the new state.
@@ -118,13 +115,10 @@ class GilbertElliottLoss(LossModel):
         else:
             if rng.random() < self._p_gb:
                 self._bad = True
-        if self._m_transitions is not None and was_bad != self._bad:
-            self._m_transitions.inc()
+        if was_bad != self._bad:
+            self.transitions += 1
         p = self._p_bad if self._bad else self._p_good
-        dropped = bool(rng.random() < p)
-        if dropped and self._m_drops is not None:
-            self._m_drops.inc()
-        return dropped
+        return bool(rng.random() < p)
 
     def mean_burst_length(self) -> float:
         """Expected bad-state sojourn in messages: geometric, 1/p_bg

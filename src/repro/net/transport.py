@@ -16,7 +16,7 @@ strobe overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from repro.net.message import Message
 from repro.net.topology import PartitionOverlay, Topology
 from repro.sim.kernel import Simulator
 from repro.sim.rng import substream_seed
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.probe import Probe
 
 Receiver = Callable[[Message], None]
 
@@ -110,10 +113,8 @@ class Network:
         self._partition: PartitionOverlay | None = None
         self._loss_override: LossModel | None = None
         self._loss_override_rng: np.random.Generator | None = None
-        # Trace handle (None = no-op fast path).
-        self._trace = None
-        # Observability handle (None = no-op fast path).
-        self._m_delay = None
+        # Instrumentation handle (None = no-op fast path).
+        self._probe: "Probe | None" = None
 
     # ------------------------------------------------------------------
     @property
@@ -192,30 +193,13 @@ class Network:
         self._loss_override = None
         self._loss_override_rng = None
 
-    def bind_obs(self, registry) -> None:
-        """Attach transport metrics: sends, deliveries, drops and
-        payload units read :attr:`stats`; the delay distribution is
-        pushed.  Also binds the loss model."""
-        stats = self.stats
-        for field_name in (
-            "sent", "delivered", "dropped_loss", "dropped_partition",
-            "dropped_crashed", "dropped_burst",
-        ):
-            registry.counter(f"net.{field_name}").read_from(
-                lambda f=field_name: getattr(stats, f)
-            )
-        registry.counter("net.payload_units").read_from(lambda: stats.total_units)
-        # Delay buckets: sub-ms to ~100 s of *simulated* latency.
-        self._m_delay = registry.histogram(
-            "net.delay_s", buckets=[10 ** (k / 2) for k in range(-8, 5)]
-        )
-        self._loss.bind_obs(registry)
-
-    def bind_trace(self, recorder) -> None:
-        """Attach a flight recorder: every dispatch records a send
-        entry with a recorder-assigned mid, every delivery a receive
-        entry, every drop branch a drop entry with its reason."""
-        self._trace = recorder
+    def bind_probe(self, probe: "Probe") -> None:
+        """Report to ``probe``: every dispatch, delivery and drop (with
+        its reason) reaches its recorder, every scheduled delivery's
+        delay its registry.  Also binds the loss model."""
+        self._probe = probe
+        probe.bind(self, "net")
+        self._loss.bind_probe(probe)
 
     # ------------------------------------------------------------------
     def send(
@@ -303,67 +287,66 @@ class Network:
             self.stats.app_units += msg.size
 
     def _dispatch(self, msg: Message) -> None:
-        mid = self._trace.record_send(msg) if self._trace is not None else None
+        stats = self.stats
+        probe = self._probe
+        partition = self._partition
+        mid = probe.record_send(msg) if probe is not None else None
         if msg.dst in self._down:
-            self.stats.dropped_crashed += 1
-            if self._trace is not None:
-                self._trace.record_drop(mid, msg, "crashed")
-            return
-        if self._partition is not None:
-            # The overlay computes reachability on the residual graph,
-            # so it subsumes the plain topology check.
-            if not self._partition.connected(self._topo, msg.src, msg.dst):
-                self.stats.dropped_partition += 1
-                if self._trace is not None:
-                    self._trace.record_drop(mid, msg, "partition")
-                return
-        elif not self._topo.connected(msg.src, msg.dst):
-            self.stats.dropped_partition += 1
-            if self._trace is not None:
-                self._trace.record_drop(mid, msg, "partition")
-            return
-        if self._loss.drops(self._rng):
-            self.stats.dropped_loss += 1
-            if self._trace is not None:
-                self._trace.record_drop(mid, msg, "loss")
-            return
-        d = self._delay.sample(self._rng)
-        # Burst override last, after the base loss + delay draws, so the
-        # base RNG stream is consumed identically with the fault active
-        # (see set_loss_override).
-        if self._loss_override is not None and self._loss_override.drops(
-            self._loss_override_rng
+            stats.dropped_crashed += 1
+            reason = "crashed"
+        elif not (
+            # A partition overlay computes reachability on the residual
+            # graph, so it subsumes the plain topology check.
+            partition.connected(self._topo, msg.src, msg.dst)
+            if partition is not None
+            else self._topo.connected(msg.src, msg.dst)
         ):
-            self.stats.dropped_burst += 1
-            if self._trace is not None:
-                self._trace.record_drop(mid, msg, "burst")
-            return
-        if self._mac is not None:
-            # Sleeping destination: frame buffered until next wake edge
-            # (the Δ-inflating mechanism of §3.2.2.b).
-            arrival = self._sim.now + d
-            d = self._mac.delivery_time(msg.dst, arrival) - self._sim.now
-        if self._record_delays:
-            self.stats.delays.append(d)
-        if self._m_delay is not None:
-            self._m_delay.observe(d)
-        self._sim.schedule_after(
-            d, lambda m=msg, i=mid: self._deliver(m, i),
-            label=f"deliver:{msg.kind}",
-        )
+            stats.dropped_partition += 1
+            reason = "partition"
+        elif self._loss.drops(self._rng):
+            stats.dropped_loss += 1
+            reason = "loss"
+        else:
+            d = self._delay.sample(self._rng)
+            # Burst override last, after the base loss + delay draws, so
+            # the base RNG stream is consumed identically with the fault
+            # active (see set_loss_override).
+            if self._loss_override is not None and self._loss_override.drops(
+                self._loss_override_rng
+            ):
+                stats.dropped_burst += 1
+                reason = "burst"
+            else:
+                if self._mac is not None:
+                    # Sleeping destination: frame buffered until next wake
+                    # edge (the Δ-inflating mechanism of §3.2.2.b).
+                    arrival = self._sim.now + d
+                    d = self._mac.delivery_time(msg.dst, arrival) - self._sim.now
+                if self._record_delays:
+                    stats.delays.append(d)
+                if probe is not None:
+                    probe.net_delay_s(d)
+                self._sim.schedule_after(
+                    d, lambda m=msg, i=mid: self._deliver(m, i),
+                    label=f"deliver:{msg.kind}",
+                )
+                return
+        if probe is not None:
+            probe.record_drop(mid, msg, reason)
 
     def _deliver(self, msg: Message, mid: "int | None" = None) -> None:
+        probe = self._probe
         if msg.dst in self._down:
             # In flight when the destination fail-stopped.
             self.stats.dropped_crashed += 1
-            if self._trace is not None:
-                self._trace.record_drop(mid, msg, "crashed")
+            if probe is not None:
+                probe.record_drop(mid, msg, "crashed")
             return
         self.stats.delivered += 1
         # Receive entry before the endpoint callback, so every event
         # the delivery causes sorts after it in recording order.
-        if self._trace is not None:
-            self._trace.record_receive(mid, msg)
+        if probe is not None:
+            probe.record_receive(mid, msg)
         self._endpoints[msg.dst](msg)
 
 

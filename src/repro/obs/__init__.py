@@ -10,11 +10,14 @@ know about itself?  Three pieces:
 * :mod:`repro.obs.exporters` — JSONL event stream, CSV summary,
   console report, and ``BENCH_*.json`` benchmark documents.
 
-Instrumented components (kernel, transport, loss models, strobe and
-vector clocks, online/lattice detectors) expose ``bind_obs(registry)``;
+Instrumented components (kernel, transport, loss models, processes,
+strobe and vector clocks, online/lattice detectors, the fault
+injector) keep one probe handle, bound by ``bind_probe``;
 :func:`instrument_system` binds a whole
-:class:`~repro.core.system.PervasiveSystem` at once.  See
-docs/observability.md for the metric name catalogue.
+:class:`~repro.core.system.PervasiveSystem` at once, feeding a
+registry and/or a flight recorder through one
+:class:`~repro.obs.probe.Probe`, which owns the metric catalogue (see
+docs/observability.md).
 """
 
 from repro.obs.exporters import (
@@ -28,6 +31,7 @@ from repro.obs.exporters import (
     render_console,
 )
 from repro.obs.instrument import Observability, attach_sampler, instrument_system
+from repro.obs.probe import Probe
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -48,6 +52,7 @@ __all__ = [
     "SpanTracer",
     "Span",
     "Observability",
+    "Probe",
     "instrument_system",
     "attach_sampler",
     "export_jsonl",

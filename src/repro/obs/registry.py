@@ -2,13 +2,13 @@
 
 The registry is the passive half of :mod:`repro.obs`.  A count or state
 a component already keeps (``NetworkStats.sent``, a strobe clock's
-``relevant_events``) is *read*: ``bind_obs`` attaches a zero-argument
-callable with ``read_from``, called only when the registry samples,
-snapshots, merges or exports, so the hot path pays nothing.  Anything
-else is *pushed* through a bound handle (a :class:`Counter`,
-:class:`Gauge` or :class:`Histogram`) that components default to
-``None``: one ``is None`` test per event when unbound, plus one
-instrument call when bound.  Nothing in this module reads the
+``relevant_events``) is *read*: the probe's catalog
+(:mod:`repro.obs.probe`) attaches a zero-argument callable with
+``read_from``, called only when the registry samples, snapshots,
+merges or exports, so the hot path pays nothing.  The few
+distributions are *pushed* through the probe handle components
+default to ``None``: one ``is None`` test per event when unbound, plus
+one :meth:`Histogram.observe` when bound.  Nothing in this module reads the
 simulation clock or any RNG: attaching a registry can never perturb
 event ordering or random draws (tests/obs/test_determinism.py).
 

@@ -84,8 +84,9 @@ class PreparedExecution:
 
 def prepare_execution(manifest: RunManifest) -> PreparedExecution:
     """Build and wire (but do not run) the manifest's scenario."""
+    from repro.obs import instrument_system
     from repro.scenarios.builders import build_scenario
-    from repro.trace import FlightRecorder, instrument_trace
+    from repro.trace import FlightRecorder
 
     try:
         scenario, phi, initials = build_scenario(
@@ -95,10 +96,8 @@ def prepare_execution(manifest: RunManifest) -> PreparedExecution:
         raise ReplayError(str(exc)) from exc
     system = scenario.system
     recorder = FlightRecorder(system.sim, capacity=manifest.capacity)
-    instrument_trace(system, recorder)
-    bound = build_detector(
-        manifest, scenario, phi, initials, recorder=recorder, host=0
-    )
+    instrument_system(system, recorder=recorder)
+    bound = build_detector(manifest, scenario, phi, initials, host=0)
     injector = None
     if manifest.plan is not None:
         from repro.faults import FaultInjector

@@ -30,7 +30,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Gauge, Histogram, MetricsRegistry
+    from repro.obs.probe import Probe
     from repro.sim.timers import GridTimer
 
 #: One heap entry: ``(time, priority, seq, event)``.
@@ -125,9 +125,10 @@ class Simulator:
         self._compactions = 0
         #: Hooks invoked after every fired event; used by trace recorders.
         self._post_hooks: list[Callable[[ScheduledEvent], None]] = []
-        # Observability handles (None = no-op fast path).
-        self._m_cb_wall: "Histogram | None" = None
-        self._m_heap: "Gauge | None" = None
+        # Instrumentation handle (None = no-op fast path), and the heap
+        # depth after the last event fired while callbacks are timed.
+        self._probe: "Probe | None" = None
+        self._fired_depth = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -242,15 +243,13 @@ class Simulator:
         """Register a hook called after every fired event (tracing)."""
         self._post_hooks.append(hook)
 
-    def bind_obs(self, registry: "MetricsRegistry") -> None:
-        """Attach kernel metrics: events fired and compactions read the
-        kernel's own counts; callback wall time and the heap depth
-        after each fired event are pushed.  Unbound, the run loop pays
-        one ``is None`` test per event — the no-op fast path."""
-        registry.counter("kernel.events_fired").read_from(lambda: self._processed)
-        registry.counter("kernel.compactions").read_from(lambda: self._compactions)
-        self._m_cb_wall = registry.histogram("kernel.callback_wall_s")
-        self._m_heap = registry.gauge("kernel.heap_depth")
+    def bind_probe(self, probe: "Probe") -> None:
+        """Report to ``probe``: once it has a registry, each callback's
+        wall time is pushed and the heap depth after it noted.
+        Unbound, the run loop pays one ``is None`` test per event — the
+        no-op fast path."""
+        self._probe = probe
+        probe.bind(self, "kernel")
 
     # ------------------------------------------------------------------
     # Heap hygiene
@@ -312,15 +311,15 @@ class Simulator:
     def _fire(self, ev: ScheduledEvent) -> None:
         # Shared firing path for step()/run(); the None test is the
         # instrumentation no-op fast path.
-        if self._m_cb_wall is None:
+        probe = self._probe
+        if probe is None or probe.callback_wall_s is None:
             ev.callback()
         else:
-            assert self._m_heap is not None
             t0 = perf_counter()  # repro: noqa SIM001 -- obs wall-time metric only
             ev.callback()
             dt = perf_counter() - t0  # repro: noqa SIM001 -- obs metric only
-            self._m_cb_wall.observe(dt)
-            self._m_heap.set(len(self._heap))
+            probe.callback_wall_s(dt)
+            self._fired_depth = len(self._heap)
         self._processed += 1
 
     def step(self) -> bool:

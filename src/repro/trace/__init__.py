@@ -25,7 +25,6 @@ from repro.trace.export import (
     write_trace,
 )
 from repro.trace.graph import CausalGraph, TraceError
-from repro.trace.instrument import instrument_trace
 from repro.trace.recorder import (
     DROP_REASONS,
     KINDS,
@@ -53,7 +52,6 @@ __all__ = [
     "write_trace",
     "CausalGraph",
     "TraceError",
-    "instrument_trace",
     "DROP_REASONS",
     "KINDS",
     "FlightRecorder",

@@ -8,6 +8,7 @@ from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
 from repro.faults import FaultError, FaultEvent, FaultInjector, FaultPlan
 from repro.net.delay import DeltaBoundedDelay
+from repro.obs import instrument_system
 from repro.obs.registry import MetricsRegistry
 
 
@@ -249,11 +250,11 @@ def test_injector_seed_defaults_to_system_seed():
 def test_bind_obs_counts_injected_and_cleared():
     sys_ = make_system()
     reg = MetricsRegistry()
+    instrument_system(sys_, reg)        # the injector binds its probe
     inj = FaultInjector(sys_, plan_of(
         FaultEvent(1.0, "crash", {"pid": 1, "mode": "recover"}, duration=2.0),
         FaultEvent(5.0, "strobe_perturb", {"pid": 0, "ticks": 1}),
     ))
-    inj.bind_obs(reg)
     inj.arm()
     sys_.run(until=10.0)
     assert reg.counter("faults.injected").value == 2

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
-from repro.obs import MetricsRegistry
+from repro.net.topology import Topology
+from repro.net.transport import Network
+from repro.obs import MetricsRegistry, Probe
+from repro.sim.kernel import Simulator
 
 
 def test_no_loss_never_drops():
@@ -105,12 +108,18 @@ def test_gilbert_elliott_start_bad():
 
 def test_gilbert_elliott_bad_state_gauge_reads_the_chain():
     """A chain started bad reports ``net.loss.in_bad_state`` = 1.0 with
-    no transition at all."""
+    no transition at all; ``net.loss.drops`` reads the transport's
+    count of the drops the model decided."""
     reg = MetricsRegistry()
     m = GilbertElliottLoss(p_gb=0.0, p_bg=0.0, p_bad=0.9, start_bad=True)
-    m.bind_obs(reg)
-    rng = np.random.default_rng(0)
-    drops = sum(m.drops(rng) for _ in range(100))
+    net = Network(Simulator(), Topology.complete(2), loss=m,
+                  rng=np.random.default_rng(0))
+    for node in (0, 1):
+        net.register(node, lambda msg: None)
+    net.bind_probe(Probe(reg))
+    for _ in range(100):
+        net.send(0, 1, "x")
+    drops = net.stats.dropped_loss
     assert m.in_bad_state and drops > 50
     assert reg.get("net.loss.drops").value == drops
     gauge = reg.get("net.loss.in_bad_state").value

@@ -28,12 +28,10 @@ def run_office(instrument: bool):
     obs = None
     if instrument:
         obs = Observability(tracer=SpanTracer(office.system.sim))
-        instrument_system(office.system, obs, sample_every=100)
+        instrument_system(office.system, obs.registry, sample_every=100)
     detector = OnlineVectorStrobeDetector(
         office.system.sim, office.predicate, office.initials, delta=DELTA,
     )
-    if instrument:
-        detector.bind_obs(obs.registry)
     office.attach_detector(detector)
     detector.start()
     office.run(DURATION)
@@ -101,7 +99,6 @@ def check_profile(profile):
     reg = MetricsRegistry()
     instrument_system(system, reg, sample_every=20)
     detector = OnlineVectorStrobeDetector(system.sim, phi, initials, delta=DELTA)
-    detector.bind_obs(reg)
     scenario.attach_detector(detector)
     detector.start()
     checked = []

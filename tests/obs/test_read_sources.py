@@ -206,7 +206,7 @@ def test_detector_counts_split_records_into_processed_and_late(cls):
     reg = MetricsRegistry()
     det = cls(hall.system.sim, hall.predicate, hall.initials,
               delta=0.2, check_period=0.05)
-    det.bind_obs(reg)
+    instrument_system(hall.system, reg)
     hall.attach_detector(det)
     det.start()
     hall.run(60.0)

@@ -138,3 +138,59 @@ def test_detection_entries_are_json_safe(hall_run):
     _, _, rec = hall_run
     text = json.dumps(rec.detections, sort_keys=True)
     assert json.loads(text) == rec.detections
+
+
+# ---------------------------------------------------------------------------
+# Digest once, bounded state
+# ---------------------------------------------------------------------------
+
+def test_each_distinct_payload_is_digested_once(monkeypatch, tmp_path):
+    """A sensed record rides its sense event, every strobe copy sent and
+    every copy received; recording plus export (and a second view)
+    digests it once."""
+    import collections
+    import json
+
+    from repro.trace import recorder as recorder_mod
+    from repro.trace import write_trace
+
+    from tests.trace.conftest import record_hall
+
+    digest = recorder_mod.payload_digest
+    calls = collections.Counter()
+
+    def counting(payload):
+        calls[json.dumps(recorder_mod._canon(payload), sort_keys=True)] += 1
+        return digest(payload)
+
+    monkeypatch.setattr(recorder_mod, "payload_digest", counting)
+    _, _, rec = record_hall(seed=3)
+    write_trace(tmp_path / "hall.trace", rec)
+    events = rec.events()
+    senses = [e for e in events if e.kind == "n"]
+    assert len(events) > 3 * len(senses) > 0
+    assert max(calls.values()) == 1
+    assert len(calls) == len({e.digest for e in events})
+
+
+def test_recorder_state_stays_bounded_when_rings_overflow():
+    """Everything the recorder holds besides the world stream and the
+    detection log is bounded by ``n_processes * capacity``, views
+    included — no digest memo outlives the rings."""
+    from collections import deque
+
+    from tests.trace.conftest import record_hall
+
+    capacity = 32
+    hall, _, rec = record_hall(seed=3, capacity=capacity)
+    bound = hall.system.n * capacity
+    assert sum(rec.evicted.values()) > bound
+    rec.events()
+    for name, value in vars(rec).items():
+        if name in ("world_events", "detections"):
+            continue
+        if isinstance(value, (list, dict, set, tuple, deque)):
+            assert len(value) <= bound, name
+    assert all(len(rec.ring(pid)) <= capacity for pid in rec.pids())
+    assert rec.retained <= bound
+    assert rec.total_recorded == rec.retained + sum(rec.evicted.values())
