@@ -77,10 +77,12 @@ def packable_pairs(draw):
 
 @st.composite
 def mixed_pairs(draw):
-    """Pairs where either side may overflow the packed capacity."""
+    """Pairs where either side may overflow the packed capacity.  A
+    component stays within int64 (the kernels' matrix type), so at n=1,
+    whose capacity is the int64 maximum, every pair is packable."""
     n = draw(st.integers(1, PACKED_MAX_N))
     cap = capacity(n)
-    comp = st.integers(0, cap * 4 + 4)
+    comp = st.integers(0, min(cap * 4 + 4, np.iinfo(np.int64).max))
     a = tuple(draw(st.lists(comp, min_size=n, max_size=n)))
     b = tuple(draw(st.lists(comp, min_size=n, max_size=n)))
     return a, b
