@@ -10,6 +10,7 @@ These are true pytest-benchmark timings (many rounds), unlike the
 experiment harnesses E1–E11 which time one full run.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import format_table
@@ -81,6 +82,32 @@ def test_timestamp_compare(benchmark, n):
     a = VectorTimestamp(range(n))
     b = VectorTimestamp(range(1, n + 1))
     benchmark(a.__lt__, b)
+
+
+def _forced(n, backend):
+    """Stamps a < b of width n held on ``backend`` whatever n is (the
+    constructors pick the backend by width; these bypass the choice)."""
+    lo, hi = tuple(range(n)), tuple(range(1, n + 1))
+    if backend == "tuple":
+        return (VectorTimestamp._from_trusted_tuple(lo),
+                VectorTimestamp._from_trusted_tuple(hi))
+    return (VectorTimestamp._from_trusted_array(np.array(lo, dtype=np.int64)),
+            VectorTimestamp._from_trusted_array(np.array(hi, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("backend", ["tuple", "numpy"])
+@pytest.mark.parametrize("n", SIZES)
+def test_backend_leq(benchmark, n, backend):
+    """The representation audit: ``<=`` on both backends at each width."""
+    a, b = _forced(n, backend)
+    assert benchmark(a.__le__, b)
+
+
+@pytest.mark.parametrize("backend", ["tuple", "numpy"])
+@pytest.mark.parametrize("n", SIZES)
+def test_backend_merge(benchmark, n, backend):
+    a, b = _forced(n, backend)
+    assert benchmark(a.merge, b) == b
 
 
 def test_e12_strobe_sizes(benchmark, save_table):

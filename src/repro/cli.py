@@ -42,21 +42,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.analysis.metrics import BorderlinePolicy, match_detections
 from repro.analysis.sweep import format_table
 from repro.core.process import ClockConfig
-from repro.detect import (
-    PhysicalClockDetector,
-    ScalarStrobeDetector,
-    VectorStrobeDetector,
-)
 from repro.scenarios.builders import OBS_SCENARIOS, delay_model
 
+#: ``--detectors`` name -> clock family (the offline replay detectors)
 DETECTORS = {
-    "vector": VectorStrobeDetector,
-    "scalar": ScalarStrobeDetector,
-    "physical": PhysicalClockDetector,
+    "vector": "offline_vector_strobe",
+    "scalar": "offline_scalar_strobe",
+    "physical": "physical",
 }
 
 
@@ -90,106 +87,120 @@ def _score_row(name, truth, detections):
 
 
 # ---------------------------------------------------------------------------
-def cmd_hall(args) -> int:
-    from repro.scenarios.exhibition_hall import ExhibitionHall, ExhibitionHallConfig
+# Scenario commands: hall / office / hospital / habitat
+# ---------------------------------------------------------------------------
 
-    cfg = ExhibitionHallConfig(
-        doors=args.doors, capacity=args.capacity,
-        arrival_rate=args.rate, mean_dwell=args.dwell,
-        seed=args.seed, delay=delay_model(args.delta),
-        clocks=ClockConfig.everything(),
-    )
-    hall = ExhibitionHall(cfg)
-    dets = {name: DETECTORS[name](hall.predicate, hall.initials)
-            for name in args.detectors}
-    for d in dets.values():
-        hall.attach_detector(d)
-    hall.run(args.duration)
-    truth = hall.oracle().true_intervals(
-        hall.system.world.ground_truth, t_end=args.duration
-    )
-    print(f"φ = {hall.predicate}; true occurrences: {len(truth)}")
-    rows = [_score_row(name, truth, det.finalize()) for name, det in dets.items()]
-    print(format_table(rows))
-    if args.export:
-        from repro.analysis.export import export_run
-        first = next(iter(dets.values()))
-        all_detections = [d for det in dets.values() for d in det.detections]
-        path = export_run(
-            args.export,
-            records=first.store.all(),
-            truth=truth,
-            detections=all_detections,
-            meta={
-                "scenario": "hall", "seed": args.seed, "delta": args.delta,
-                "doors": args.doors, "capacity": args.capacity,
-                "duration": args.duration,
-            },
-        )
-        print(f"run bundle written to {path}")
-    return 0
+class ScenarioCommand(NamedTuple):
+    """One scenario subcommand.
+
+    ``extra`` is called on the built scenario before the run and
+    returns the maker of one more output line, printed after the run:
+    above the φ line when detectors are scored, last otherwise."""
+
+    profile: str                    # repro.scenarios.builders profile
+    config: Mapping[str, str]       # flag dest -> scenario config field
+    detectors: tuple[str, ...]      # DETECTORS names scored by default
+    oracle: str = "oracle"          # scenario method giving the oracle
+    extra: "Callable[[Any], Callable[[], str]] | None" = None
 
 
-def cmd_office(args) -> int:
-    from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
+def _effective_delta(habitat) -> Callable[[], str]:
+    return lambda: f"effective Δ = {habitat.effective_delta():.2f}s"
 
-    office = SmartOffice(SmartOfficeConfig(
-        seed=args.seed, delay=delay_model(args.delta),
-        temp_threshold=28.0, temp_base=27.5, temp_sigma=1.5,
-        mean_occupied=40.0, mean_vacant=15.0,
-    ))
+
+def _thermostat(office) -> Callable[[], str]:
     actuations = office.install_thermostat_rule()
-    office.run(args.duration)
-    truth = office.oracle().true_intervals(
-        office.system.world.ground_truth, t_end=args.duration
+    return lambda: f"thermostat actuations: {len(actuations)}"
+
+
+SCENARIO_COMMANDS = {
+    "hall": ScenarioCommand(
+        "hall",
+        {"doors": "doors", "capacity": "capacity",
+         "rate": "arrival_rate", "dwell": "mean_dwell"},
+        ("vector", "scalar", "physical"),
+    ),
+    "office": ScenarioCommand("smart_office_chaos", {}, (), extra=_thermostat),
+    "hospital": ScenarioCommand(
+        "hospital", {"visitors": "n_visitors", "capacity": "waiting_capacity"},
+        ("vector",), oracle="oracle_waiting",
+    ),
+    "habitat": ScenarioCommand(
+        "habitat", {"mac_period": "mac_period", "mac_duty": "mac_duty"},
+        ("vector",), extra=_effective_delta,
+    ),
+}
+
+
+def cmd_scenario(args) -> int:
+    """Run one scenario command and print its oracle-scored table.
+
+    The scenario is the command's profile with the flags' config fields
+    on top; each detector comes from the clock-family table.  These
+    runs record nothing, so they skip ``prepare_execution`` (which
+    binds a flight recorder and takes only manifest fields).
+
+    Exit codes: 0 ok, 2 bad duration or config value.
+    """
+    from repro.replay.families import make_detector
+    from repro.scenarios import builders
+
+    cmd = SCENARIO_COMMANDS[args.command]
+    if not args.duration > 0:
+        print(f"repro {args.command}: duration must be positive, "
+              f"got {args.duration}", file=sys.stderr)
+        return 2
+    try:
+        scenario, phi, initials = builders.build_scenario(
+            cmd.profile, seed=args.seed, delta=args.delta,
+            **{field: getattr(args, dest) for dest, field in cmd.config.items()},
+        )
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    dets = {name: make_detector(DETECTORS[name], phi, initials)
+            for name in getattr(args, "detectors", cmd.detectors)}
+    for det in dets.values():
+        scenario.attach_detector(det)
+    extra = cmd.extra(scenario) if cmd.extra else None
+    scenario.run(args.duration)
+    truth = getattr(scenario, cmd.oracle)().true_intervals(
+        scenario.system.world.ground_truth, t_end=args.duration
     )
-    print(f"φ = {office.predicate}")
-    print(f"true occurrences     : {len(truth)}")
-    print(f"thermostat actuations: {len(actuations)}")
+    if dets:
+        if extra:
+            print(extra())
+        print(f"φ = {phi}; true occurrences: {len(truth)}")
+        print(format_table([
+            _score_row(name, truth, det.finalize()) for name, det in dets.items()
+        ]))
+    else:
+        print(f"φ = {phi}")
+        print(f"true occurrences     : {len(truth)}")
+        if extra:
+            print(extra())
+    if getattr(args, "export", None):
+        _export_bundle(args, dets, truth)
     return 0
 
 
-def cmd_hospital(args) -> int:
-    from repro.scenarios.hospital import Hospital, HospitalConfig
+def _export_bundle(args, dets, truth) -> None:
+    """``hall --export``: the first detector's records, the truth and
+    every detector's detections as one JSON run bundle."""
+    from repro.analysis.export import export_run
 
-    h = Hospital(HospitalConfig(
-        seed=args.seed, delay=delay_model(args.delta),
-        n_visitors=args.visitors, waiting_capacity=args.capacity,
-    ))
-    phi = h.waiting_room_predicate()
-    det = VectorStrobeDetector(phi, h.initials_for(phi))
-    h.attach_detector(det)
-    h.run(args.duration)
-    truth = h.oracle_waiting().true_intervals(
-        h.system.world.ground_truth, t_end=args.duration
+    path = export_run(
+        args.export,
+        records=next(iter(dets.values())).store.all(),
+        truth=truth,
+        detections=[d for det in dets.values() for d in det.detections],
+        meta={
+            "scenario": args.command, "seed": args.seed, "delta": args.delta,
+            "doors": args.doors, "capacity": args.capacity,
+            "duration": args.duration,
+        },
     )
-    print(f"φ = {phi}; true occurrences: {len(truth)}")
-    print(format_table([_score_row("vector", truth, det.finalize())]))
-    return 0
-
-
-def cmd_habitat(args) -> int:
-    from repro.scenarios.habitat import Habitat, HabitatConfig
-
-    hab = Habitat(HabitatConfig(
-        seed=args.seed, mac_period=args.mac_period, mac_duty=args.mac_duty,
-    ))
-    from repro.predicates import RelationalPredicate
-    phi = RelationalPredicate(
-        {"prey": 0, "pred": 1},
-        lambda e: e["prey"] > 0 and e["pred"] > 0,
-        "prey ∧ predator",
-    )
-    det = VectorStrobeDetector(phi, hab.initials)
-    hab.attach_detector(det)
-    hab.run(args.duration)
-    truth = hab.oracle().true_intervals(
-        hab.system.world.ground_truth, t_end=args.duration
-    )
-    print(f"effective Δ = {hab.effective_delta():.2f}s")
-    print(f"φ = {phi}; true occurrences: {len(truth)}")
-    print(format_table([_score_row("vector", truth, det.finalize())]))
-    return 0
+    print(f"run bundle written to {path}")
 
 
 def cmd_clocks(args) -> int:
@@ -995,13 +1006,19 @@ def cmd_serve(args) -> int:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     if args.input:
+        specs = []
         try:
             with open(args.input, encoding="utf-8") as fh:
-                specs = [
-                    spec for line in fh if line.strip()
-                    for spec in [_json.loads(line)]
-                    if spec.get("kind") != "meta"
-                ]
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    spec = _json.loads(line)
+                    if not isinstance(spec, dict):
+                        print(f"repro serve: {args.input}:{lineno}: stream "
+                              f"line is not a JSON object", file=sys.stderr)
+                        return 2
+                    if spec.get("kind") != "meta":
+                        specs.append(spec)
         except (OSError, _json.JSONDecodeError) as exc:
             print(f"repro serve: cannot read stream {args.input!r}: {exc}",
                   file=sys.stderr)
@@ -1109,27 +1126,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int, default=10)
     p.add_argument("--rate", type=float, default=2.5, help="arrivals/s")
     p.add_argument("--dwell", type=float, default=4.0, help="mean dwell s")
-    p.add_argument("--detectors", nargs="+", default=["vector", "scalar", "physical"],
+    p.add_argument("--detectors", nargs="+",
+                   default=list(SCENARIO_COMMANDS["hall"].detectors),
                    choices=sorted(DETECTORS))
     p.add_argument("--export", metavar="PATH", default=None,
                    help="write a JSON run bundle (records/truth/detections)")
-    p.set_defaults(fn=cmd_hall)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("office", help="§3.3 smart office")
     common(p)
-    p.set_defaults(fn=cmd_office)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("hospital", help="hospital ward monitoring")
     common(p)
     p.add_argument("--visitors", type=int, default=12)
     p.add_argument("--capacity", type=int, default=4)
-    p.set_defaults(fn=cmd_hospital)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("habitat", help="duty-cycled wildlife monitoring")
     common(p)
     p.add_argument("--mac-period", type=float, default=2.0)
     p.add_argument("--mac-duty", type=float, default=0.25)
-    p.set_defaults(fn=cmd_habitat)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("clocks", help="stamp one execution under all clocks")
     common(p)

@@ -35,6 +35,7 @@ from typing import Any
 from repro.core.records import SensedEventRecord
 from repro.recover.checkpoint import snapshot_digest
 from repro.recover.stream import record_from_spec
+from repro.replay.families import ONLINE_FAMILIES, make_detector
 from repro.replay.manifest import RunManifest
 from repro.sim.kernel import Simulator
 from repro.util.atomicio import atomic_write_text, durable_append_lines, fsync_dir
@@ -43,7 +44,7 @@ SERVE_FORMAT_VERSION = 1
 
 #: Families the streaming server can host (offline families replay a
 #: complete stream at finalize and have no incremental frontier).
-SERVABLE_FAMILIES = ("vector_strobe", "scalar_strobe")
+SERVABLE_FAMILIES = ONLINE_FAMILIES
 
 
 class WalError(RuntimeError):
@@ -141,10 +142,6 @@ class WalServer:
             raise WalError(f"{self.serve_path}: malformed config: {exc}") from exc
 
     def _build_detector(self) -> None:
-        from repro.detect.online import (
-            OnlineScalarStrobeDetector,
-            OnlineVectorStrobeDetector,
-        )
         from repro.scenarios.builders import build_scenario
 
         # The scenario is built only for its predicate and initial
@@ -156,16 +153,9 @@ class WalServer:
             delta=self.manifest.delta,
         )
         self.sim = Simulator()
-        cls = (
-            OnlineVectorStrobeDetector
-            if self.manifest.clock_family == "vector_strobe"
-            else OnlineScalarStrobeDetector
-        )
-        self.detector = cls(
-            self.sim, phi, initials,
-            delta=self.manifest.delta,
-            check_period=self.manifest.check_period,
-            liveness_horizon=self.manifest.liveness_horizon,
+        self.detector = make_detector(
+            self.manifest.clock_family, phi, initials,
+            sim=self.sim, manifest=self.manifest,
         )
         self.detector.start()
 

@@ -1,13 +1,14 @@
-"""Clock-family registry — one constructor per detection time model.
+"""Clock-family registry — the one table from time model to detector.
 
 A manifest's ``clock_family`` names *which time model watches the
 run*: the two online strobe detectors (vector / scalar, with their 2Δ
 stability watermark and ``check_period`` flush timer), their offline
-replay counterparts, and physical-clock replay.  The registry gives
-record, replay and counterfactual execution one shared way to build,
-attach and finalize whichever family a manifest names — a
-counterfactual clock swap is nothing more than re-running with a
-different registry entry.
+replay counterparts, and physical-clock replay.  :func:`make_detector`
+is the only place a detector class is chosen and constructed: record,
+replay and counterfactual execution (through :func:`build_detector`),
+``repro serve``, the scenario subcommands and the
+``detector_throughput`` sweep point all call it — a counterfactual
+clock swap is nothing more than re-running with a different entry.
 
 Online families detect *during* the run and log detections through
 the system's probe at emission time; offline families sort the
@@ -18,9 +19,52 @@ meaningful earlier emission instant for a post-hoc replay detector).
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any, Mapping
 
-from repro.replay.manifest import CLOCK_FAMILIES, RunManifest
+from repro.replay.manifest import RunManifest
+
+#: clock family -> (module under ``repro.detect``, detector class).
+#: Imported on first use, so a run loads only the family it hosts.
+FAMILY_CLASSES: dict[str, tuple[str, str]] = {
+    "vector_strobe": ("online", "OnlineVectorStrobeDetector"),
+    "scalar_strobe": ("online", "OnlineScalarStrobeDetector"),
+    "offline_vector_strobe": ("strobe_vector", "VectorStrobeDetector"),
+    "offline_scalar_strobe": ("strobe_scalar", "ScalarStrobeDetector"),
+    "physical": ("physical", "PhysicalClockDetector"),
+}
+
+#: Families that detect during the run, on the kernel's flush timer.
+ONLINE_FAMILIES = ("vector_strobe", "scalar_strobe")
+
+
+def make_detector(
+    family: str,
+    predicate: Any,
+    initials: Mapping[str, Any],
+    *,
+    sim: Any = None,
+    manifest: "RunManifest | None" = None,
+) -> Any:
+    """Construct ``family``'s detector, neither attached nor started.
+
+    Online families run on the kernel ``sim`` with the manifest's Δ,
+    ``check_period`` and ``liveness_horizon``; offline families need
+    only the predicate and its initial environment."""
+    row = FAMILY_CLASSES.get(family)
+    if row is None:
+        raise ValueError(f"unknown clock family {family!r}")
+    module, name = row
+    cls = getattr(import_module(f"repro.detect.{module}"), name)
+    if family not in ONLINE_FAMILIES:
+        return cls(predicate, initials)
+    assert manifest is not None, "online families run with a manifest"
+    return cls(
+        sim, predicate, initials,
+        delta=manifest.delta,
+        check_period=manifest.check_period,
+        liveness_horizon=manifest.liveness_horizon,
+    )
 
 
 class BoundDetector:
@@ -60,45 +104,22 @@ def build_detector(
     """Build, attach and (for online families) start the manifest's
     clock family on ``scenario``; attaching binds it to the system's
     probe, whether the system is instrumented before or after."""
-    family = manifest.clock_family
-    if family not in CLOCK_FAMILIES:
-        raise ValueError(f"unknown clock family {family!r}")
     system = scenario.system
-    sim = system.sim
-    if family in ("vector_strobe", "scalar_strobe"):
-        from repro.detect.online import (
-            OnlineScalarStrobeDetector,
-            OnlineVectorStrobeDetector,
-        )
-
-        cls = (
-            OnlineVectorStrobeDetector
-            if family == "vector_strobe" else OnlineScalarStrobeDetector
-        )
-        det = cls(
-            sim, predicate, initials,
-            delta=manifest.delta,
-            check_period=manifest.check_period,
-            liveness_horizon=manifest.liveness_horizon,
-        )
-        scenario.attach_detector(det, host=host)
-        det.start()
-        return BoundDetector(det, online=True, system=system)
-
-    if family == "offline_vector_strobe":
-        from repro.detect.strobe_vector import VectorStrobeDetector
-
-        det = VectorStrobeDetector(predicate, initials)
-    elif family == "offline_scalar_strobe":
-        from repro.detect.strobe_scalar import ScalarStrobeDetector
-
-        det = ScalarStrobeDetector(predicate, initials)
-    else:  # "physical"
-        from repro.detect.physical import PhysicalClockDetector
-
-        det = PhysicalClockDetector(predicate, initials)
+    det = make_detector(
+        manifest.clock_family, predicate, initials,
+        sim=system.sim, manifest=manifest,
+    )
     scenario.attach_detector(det, host=host)
-    return BoundDetector(det, online=False, system=system)
+    online = manifest.clock_family in ONLINE_FAMILIES
+    if online:
+        det.start()
+    return BoundDetector(det, online=online, system=system)
 
 
-__all__ = ["BoundDetector", "build_detector"]
+__all__ = [
+    "FAMILY_CLASSES",
+    "ONLINE_FAMILIES",
+    "BoundDetector",
+    "build_detector",
+    "make_detector",
+]

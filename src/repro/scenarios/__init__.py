@@ -1,8 +1,9 @@
 """Application scenarios (§5 and §3.3 of the paper).
 
-Each scenario builds a fully wired :class:`~repro.core.system.
-PervasiveSystem`, a predicate, its oracle, and the world-plane
-dynamics:
+Each scenario is a :class:`Scenario` (detector hosting and the
+``begin → run → end`` loop are shared) that builds a fully wired
+:class:`~repro.core.system.PervasiveSystem`, a predicate, its oracle,
+and the world-plane dynamics:
 
 * :class:`ExhibitionHall` — the paper's flagship: d RFID door sensors,
   occupancy predicate Σ(xᵢ−yᵢ) > capacity, Poisson visitor traffic;
@@ -15,12 +16,14 @@ dynamics:
   sync is unaffordable.
 """
 
+from repro.scenarios.base import Scenario
 from repro.scenarios.exhibition_hall import ExhibitionHall, ExhibitionHallConfig
 from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
 from repro.scenarios.hospital import Hospital, HospitalConfig
 from repro.scenarios.habitat import Habitat, HabitatConfig
 
 __all__ = [
+    "Scenario",
     "ExhibitionHall",
     "ExhibitionHallConfig",
     "SmartOffice",

@@ -11,9 +11,9 @@ re-create *exactly* the system that was recorded — same world objects,
 same tracked variables, same canned parameters.
 
 Profiles deliberately pin every scenario parameter except ``seed`` and
-``delta``.  Anything else a caller wants to vary belongs in a new
-profile (cheap: one registry entry), because an unpinned parameter is
-a parameter a manifest cannot replay.
+``delta``.  Anything else a recorded run wants to vary belongs in a
+new profile (cheap: one registry entry), because an unpinned parameter
+is a parameter a manifest cannot replay.
 """
 
 from __future__ import annotations
@@ -32,55 +32,34 @@ def delay_model(delta: float):
 BuiltScenario = Tuple[Any, Any, Mapping[str, Any]]
 
 
-def _build_smart_office(seed: int, delta: float) -> BuiltScenario:
+def _build_smart_office(seed: int, delta: float, config: dict) -> BuiltScenario:
     from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
 
-    sc = SmartOffice(SmartOfficeConfig(
-        seed=seed, delay=delay_model(delta),
-        temp_threshold=28.0, temp_base=27.5, temp_sigma=1.5,
-    ))
+    sc = SmartOffice(SmartOfficeConfig(seed=seed, delay=delay_model(delta), **config))
     return sc, sc.predicate, sc.initials
 
 
-def _build_smart_office_chaos(seed: int, delta: float) -> BuiltScenario:
-    # The chaos-harness profile (repro.faults.chaos): synchronous
-    # network, busier occupancy dynamics.  Kept distinct from
-    # "smart_office" so chaos recordings replay against the exact
-    # system the harness built.
-    from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
-
-    sc = SmartOffice(SmartOfficeConfig(
-        seed=seed, delay=delay_model(delta),
-        temp_threshold=28.0, temp_base=27.5, temp_sigma=1.5,
-        mean_occupied=40.0, mean_vacant=15.0,
-    ))
-    return sc, sc.predicate, sc.initials
-
-
-def _build_hall(seed: int, delta: float) -> BuiltScenario:
-    from repro.core.process import ClockConfig
+def _build_hall(seed: int, delta: float, config: dict) -> BuiltScenario:
     from repro.scenarios.exhibition_hall import ExhibitionHall, ExhibitionHallConfig
 
-    sc = ExhibitionHall(ExhibitionHallConfig(
-        seed=seed, delay=delay_model(delta),
-        clocks=ClockConfig.everything(),
-    ))
+    sc = ExhibitionHall(ExhibitionHallConfig(seed=seed, delay=delay_model(delta), **config))
     return sc, sc.predicate, sc.initials
 
 
-def _build_hospital(seed: int, delta: float) -> BuiltScenario:
+def _build_hospital(seed: int, delta: float, config: dict) -> BuiltScenario:
     from repro.scenarios.hospital import Hospital, HospitalConfig
 
-    sc = Hospital(HospitalConfig(seed=seed, delay=delay_model(delta)))
+    sc = Hospital(HospitalConfig(seed=seed, delay=delay_model(delta), **config))
     phi = sc.waiting_room_predicate()
     return sc, phi, sc.initials_for(phi)
 
 
-def _build_habitat(seed: int, delta: float) -> BuiltScenario:
+def _build_habitat(seed: int, delta: float, config: dict) -> BuiltScenario:
+    # The habitat's delay bound is its radio's plus MAC sleep, not Δ.
     from repro.predicates import RelationalPredicate
     from repro.scenarios.habitat import Habitat, HabitatConfig
 
-    sc = Habitat(HabitatConfig(seed=seed))
+    sc = Habitat(HabitatConfig(seed=seed, **config))
     phi = RelationalPredicate(
         {"prey": 0, "pred": 1},
         lambda e: e["prey"] > 0 and e["pred"] > 0,
@@ -89,13 +68,21 @@ def _build_habitat(seed: int, delta: float) -> BuiltScenario:
     return sc, phi, sc.initials
 
 
-#: profile name -> builder(seed, delta)
-PROFILES: dict[str, Callable[[int, float], BuiltScenario]] = {
-    "smart_office": _build_smart_office,
-    "smart_office_chaos": _build_smart_office_chaos,
-    "hall": _build_hall,
-    "hospital": _build_hospital,
-    "habitat": _build_habitat,
+_OFFICE = {"temp_threshold": 28.0, "temp_base": 27.5, "temp_sigma": 1.5}
+
+#: profile name -> (builder(seed, delta, config fields), pinned config fields)
+PROFILES: dict[str, Tuple[Callable[[int, float, dict], BuiltScenario], dict]] = {
+    "smart_office": (_build_smart_office, _OFFICE),
+    # The chaos-harness profile (repro.faults.chaos, and `repro
+    # office`): busier occupancy dynamics.  Kept distinct from
+    # "smart_office" so chaos recordings replay against the exact
+    # system the harness built.
+    "smart_office_chaos": (_build_smart_office, {
+        **_OFFICE, "mean_occupied": 40.0, "mean_vacant": 15.0,
+    }),
+    "hall": (_build_hall, {}),
+    "hospital": (_build_hospital, {}),
+    "habitat": (_build_habitat, {}),
 }
 
 #: Profiles offered by the user-facing run/record subcommands (the
@@ -103,19 +90,27 @@ PROFILES: dict[str, Callable[[int, float], BuiltScenario]] = {
 OBS_SCENARIOS = ("smart_office", "hall", "hospital", "habitat")
 
 
-def build_scenario(name: str, *, seed: int, delta: float) -> BuiltScenario:
+def build_scenario(name: str, *, seed: int, delta: float,
+                   **config: Any) -> BuiltScenario:
     """Build the named profile; returns (scenario, predicate, initials).
 
+    ``config`` fields of the scenario's config class apply on top of
+    the profile's pinned ones.  Manifests pass none, so a recorded run
+    is always the pinned profile; only the scenario subcommands (which
+    record nothing) vary fields.
+
     Raises ``ValueError`` for unknown profiles — the replay engine
-    turns that into a manifest error with the known-profile list.
+    turns that into a manifest error with the known-profile list — and
+    for config values the scenario refuses.
     """
-    builder = PROFILES.get(name)
-    if builder is None:
+    row = PROFILES.get(name)
+    if row is None:
         raise ValueError(
             f"unknown scenario profile {name!r} "
             f"(have {', '.join(sorted(PROFILES))})"
         )
-    return builder(int(seed), float(delta))
+    builder, pinned = row
+    return builder(int(seed), float(delta), {**pinned, **config})
 
 
 __all__ = [

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from repro.clocks.physical import DriftModel
 from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
-from repro.detect.base import Detector
 from repro.detect.oracle import OracleDetector
 from repro.net.delay import DelayModel, SynchronousDelay
 from repro.net.loss import LossModel, NoLoss
 from repro.net.topology import Topology
 from repro.predicates.relational import SumThresholdPredicate
+from repro.scenarios.base import Scenario
 from repro.world.generators import BurstyProcess, PoissonProcess
 
 
@@ -54,8 +54,12 @@ class ExhibitionHallConfig:
     strobe_every: int = 1                  # thin strobes to every k-th event
     topology: "Topology | None" = None     # None = complete graph
 
+    def __post_init__(self) -> None:
+        if self.mean_dwell < 0:
+            raise ValueError(f"mean_dwell must be non-negative, got {self.mean_dwell}")
 
-class ExhibitionHall:
+
+class ExhibitionHall(Scenario):
     """Builds and runs the §5 exhibition hall."""
 
     def __init__(self, config: ExhibitionHallConfig) -> None:
@@ -142,24 +146,11 @@ class ExhibitionHall:
             var_map[f"y{i}"] = (f"door{i}", "exited")
         return OracleDetector(self.predicate, var_map, initials=self.initials)
 
-    def attach_detector(self, detector: Detector, *, host: int = 0) -> None:
-        """Host a detector at process ``host`` (default: the root P0).
-        It sees the host's own records plus everything strobed to it."""
-        detector.attach(self.system.processes[host])
-
     def begin(self) -> None:
-        """Arm the visitor-traffic generator (first phase of
-        :meth:`run`; split for :mod:`repro.recover` stepping)."""
         self.traffic.start()
 
     def end(self) -> None:
-        """Stop the traffic generator (last phase of :meth:`run`)."""
         self.traffic.stop()
-
-    def run(self, duration: float) -> None:
-        self.begin()
-        self.system.run(until=duration)
-        self.end()
 
     def true_occupancy(self) -> int:
         """Oracle: current number of people inside."""

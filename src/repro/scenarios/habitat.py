@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
-from repro.detect.base import Detector
 from repro.detect.oracle import OracleDetector
 from repro.net.delay import DeltaBoundedDelay
 from repro.net.mac import DutyCycleMAC
 from repro.predicates.conjunctive import Conjunct, ConjunctivePredicate
+from repro.scenarios.base import Scenario
 from repro.sim.rng import RngRegistry
 from repro.world.mobility import RandomWaypoint
 
@@ -49,7 +49,7 @@ class HabitatConfig:
     keep_event_logs: bool = False
 
 
-class Habitat:
+class Habitat(Scenario):
     """Wildlife monitoring with duty-cycled radios."""
 
     def __init__(self, config: HabitatConfig) -> None:
@@ -124,28 +124,17 @@ class Habitat:
             initials=self.initials,
         )
 
-    def attach_detector(self, detector: Detector, *, host: int = 0) -> None:
-        detector.attach(self.system.processes[host])
-
     def effective_delta(self) -> float:
         """The delay bound including MAC sleep (the true Δ of §3.2.2.b)."""
         return self.config.radio_delay + self.mac.extra_delay_bound()
 
     def begin(self) -> None:
-        """Arm the mobility generators (first phase of :meth:`run`;
-        split for :mod:`repro.recover` stepping)."""
         for m in self._mobility:
             m.start()
 
     def end(self) -> None:
-        """Stop the mobility generators (last phase of :meth:`run`)."""
         for m in self._mobility:
             m.stop()
-
-    def run(self, duration: float) -> None:
-        self.begin()
-        self.system.run(until=duration)
-        self.end()
 
 
 __all__ = ["Habitat", "HabitatConfig"]

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
-from repro.detect.base import Detector
 from repro.detect.oracle import OracleDetector
 from repro.net.delay import DelayModel, SynchronousDelay
 from repro.predicates.conjunctive import Conjunct, ConjunctivePredicate
 from repro.predicates.relational import RelationalPredicate
+from repro.scenarios.base import Scenario
 from repro.world.mobility import ZoneTransitions
 
 #: zone adjacency of the monitored floor
@@ -56,7 +56,7 @@ class HospitalConfig:
     keep_event_logs: bool = False
 
 
-class Hospital:
+class Hospital(Scenario):
     """Builds the hospital floor with zone sensors."""
 
     def __init__(self, config: HospitalConfig) -> None:
@@ -225,24 +225,13 @@ class Hospital:
             initials=self.initials_for(phi),
         )
 
-    def attach_detector(self, detector: Detector, *, host: int = 0) -> None:
-        detector.attach(self.system.processes[host])
-
     def begin(self) -> None:
-        """Arm the mobility generators (first phase of :meth:`run`;
-        split for :mod:`repro.recover` stepping)."""
         for m in self._mobility:
             m.start()
 
     def end(self) -> None:
-        """Stop the mobility generators (last phase of :meth:`run`)."""
         for m in self._mobility:
             m.stop()
-
-    def run(self, duration: float) -> None:
-        self.begin()
-        self.system.run(until=duration)
-        self.end()
 
 
 __all__ = ["Hospital", "HospitalConfig", "ZONES", "MONITORED"]

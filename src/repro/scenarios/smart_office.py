@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
-from repro.detect.base import Detector
 from repro.detect.oracle import OracleDetector
 from repro.net.delay import DelayModel, SynchronousDelay
 from repro.predicates.conjunctive import Conjunct, ConjunctivePredicate
+from repro.scenarios.base import Scenario
 from repro.sim.timers import PeriodicTimer
 
 
@@ -45,7 +45,7 @@ class SmartOfficeConfig:
     keep_event_logs: bool = False
 
 
-class SmartOffice:
+class SmartOffice(Scenario):
     """Builds the smart office with its conjunctive context predicate."""
 
     def __init__(self, config: SmartOfficeConfig) -> None:
@@ -125,9 +125,6 @@ class SmartOffice:
             initials=self.initials,
         )
 
-    def attach_detector(self, detector: Detector, *, host: int = 0) -> None:
-        detector.attach(self.system.processes[host])
-
     def install_thermostat_rule(self) -> list[float]:
         """§3.3 rule (i): reset thermostat to 28 each time φ holds.
 
@@ -155,24 +152,11 @@ class SmartOffice:
         return actuations
 
     def begin(self) -> None:
-        """Arm the world generators (first phase of :meth:`run`).
-
-        Split from :meth:`run` so the checkpoint layer
-        (:mod:`repro.recover`) can interleave bounded stepping between
-        setup and teardown; ``run`` remains ``begin → run-to-horizon →
-        end`` exactly.
-        """
         self._schedule_occupancy_flip()
         self._temp_timer.start()
 
     def end(self) -> None:
-        """Stop the world generators (last phase of :meth:`run`)."""
         self._temp_timer.stop()
-
-    def run(self, duration: float) -> None:
-        self.begin()
-        self.system.run(until=duration)
-        self.end()
 
 
 __all__ = ["SmartOffice", "SmartOfficeConfig"]

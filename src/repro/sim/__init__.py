@@ -30,7 +30,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.rng import RngRegistry, substream_seed
 from repro.sim.timers import GridTimer, PeriodicTimer, Timer
-from repro.sim.trace import TraceRecorder, TraceEntry
 
 __all__ = [
     "Simulator",
@@ -42,6 +41,4 @@ __all__ = [
     "Timer",
     "PeriodicTimer",
     "GridTimer",
-    "TraceRecorder",
-    "TraceEntry",
 ]

@@ -29,9 +29,6 @@ from repro.core.process import ClockConfig
 from repro.core.records import SensedEventRecord
 from repro.core.system import PervasiveSystem, SystemConfig
 from repro.detect.base import Detection
-from repro.detect.physical import PhysicalClockDetector
-from repro.detect.strobe_scalar import ScalarStrobeDetector
-from repro.detect.strobe_vector import VectorStrobeDetector
 from repro.net.delay import DeltaBoundedDelay
 from repro.predicates.relational import SumThresholdPredicate
 from repro.sim.kernel import Simulator
@@ -81,10 +78,11 @@ def throughput_predicate(n: int = 4) -> SumThresholdPredicate:
     return SumThresholdPredicate([(f"v{i}", i, 1.0) for i in range(n)], 18)
 
 
+#: sweep-row detector name -> clock family (the offline detectors)
 _DETECTORS = {
-    "vector_strobe": VectorStrobeDetector,
-    "scalar_strobe": ScalarStrobeDetector,
-    "physical": PhysicalClockDetector,
+    "vector_strobe": "offline_vector_strobe",
+    "scalar_strobe": "offline_scalar_strobe",
+    "physical": "physical",
 }
 
 
@@ -107,11 +105,13 @@ def detector_throughput(
     """Feed ``m`` synthetic records through one detector; report
     detection counts and the labels digest (no timings — see module
     docstring; wall time is the runner's obs business)."""
+    from repro.replay.families import make_detector
+
     if detector not in _DETECTORS:
         raise ValueError(f"unknown detector {detector!r} (have {sorted(_DETECTORS)})")
     records = synth_records(m, n=n, seed=seed, race_frac=race_frac)
-    det = _DETECTORS[detector](
-        throughput_predicate(n), {f"v{i}": 0 for i in range(n)}
+    det = make_detector(
+        _DETECTORS[detector], throughput_predicate(n), {f"v{i}": 0 for i in range(n)}
     )
     det.feed_many(records)
     detections = det.finalize()

@@ -74,6 +74,28 @@ def test_serve_reopen_without_config_fails(capsys, tmp_path):
     assert "no serve.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_line", ["[1, 2]", '"x"', "3", "null"])
+def test_serve_rejects_a_non_object_stream_line(bad_line, capsys, tmp_path):
+    stream = tmp_path / "hall.stream.jsonl"
+    assert main(["recover", "stream", "hall", "--duration", "6",
+                 "--out", str(stream)]) == 0
+    lines = stream.read_text().splitlines()
+    bad = tmp_path / "bad.stream.jsonl"
+    bad.write_text("\n".join(lines + [bad_line]) + "\n")
+    served = tmp_path / "served"
+    capsys.readouterr()
+    rc = main(["serve", "--wal", str(served), "--scenario", "hall",
+               "--duration", "6", "--in", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"repro serve: {bad}:{len(lines) + 1}: stream line is not a JSON object\n"
+    )
+    assert not (served / "wal.jsonl").exists()
+    # The same directory then takes the clean stream.
+    assert main(["serve", "--wal", str(served), "--in", str(stream)]) == 0
+    assert "finalized=True" in capsys.readouterr().out
+
+
 @pytest.mark.slow
 def test_serve_survives_hard_kill_byte_identically(tmp_path):
     """Crash the serve subprocess mid-stream with os._exit (the CLI's

@@ -46,6 +46,23 @@ def test_habitat_runs(capsys):
     assert "effective Δ" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("hall --duration -5", "repro hall: duration must be positive, got -5.0"),
+    ("hall --duration 0", "repro hall: duration must be positive, got 0.0"),
+    ("office --duration 0", "repro office: duration must be positive, got 0.0"),
+    ("hall --doors 0", "repro hall: need at least one process"),
+    ("hall --dwell -1", "repro hall: mean_dwell must be non-negative, got -1.0"),
+    ("hospital --duration -1",
+     "repro hospital: duration must be positive, got -1.0"),
+    ("habitat --mac-duty 0", "repro habitat: duty must be in (0,1], got 0.0"),
+])
+def test_scenario_command_rejects_bad_values_with_one_line(argv, message, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_clocks_runs(capsys):
     rc = main(["clocks", "--n", "2", "--events", "2", "--delta", "0"])
     assert rc == 0
