@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Mapping, NamedTuple
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from repro.analysis.metrics import BorderlinePolicy, match_detections
 from repro.analysis.sweep import format_table
@@ -64,15 +65,50 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _supervision_flags(p) -> None:
-    """--timeout / --retries (sweep-shaped commands)."""
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="kill a task exceeding this wall time and replace "
-                        "its worker (default: no per-task deadline)")
-    p.add_argument("--retries", type=int, default=2, metavar="N",
-                   help="retry a hung/killed task up to N times before "
-                        "quarantining it to <out>.quarantine.jsonl "
-                        "(default 2)")
+class UsageError(Exception):
+    """Bad input: :func:`main` prints it on one stderr line after the
+    command's name and exits 2."""
+
+
+@contextmanager
+def _usage(*errors: type[Exception]) -> Iterator[None]:
+    """Report ``errors`` raised in the block as bad input."""
+    try:
+        yield
+    except errors as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _split(chunks: "list[str] | None", cast: Callable[[str], Any] = str) -> tuple:
+    """Values of a repeatable comma-list flag: ``["a,b", "c"]`` -> ``(a, b, c)``."""
+    return tuple(cast(s) for chunk in chunks or () for s in chunk.split(",") if s)
+
+
+def _write_report(args, text: str) -> bool:
+    """Write the JSON report to ``--out`` and print it under ``--json``;
+    returns whether it was printed (the summary lines are then skipped)."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    if args.json:
+        print(text)
+    return args.json
+
+
+def _manifest(args, **fields):
+    """The :class:`~repro.replay.RunManifest` of the manifest flags: Δ
+    clamped at 0, ``--plan`` loaded, the code digest taken.  ``fields``
+    override the flags; a flag the command lacks keeps its default."""
+    from repro.replay import RunManifest, code_digest
+
+    flags = {f: getattr(args, f) for f in ("scenario", "seed", "duration",
+                                           "clock_family", "check_period")
+             if hasattr(args, f)}
+    return RunManifest(**{
+        **flags, "delta": max(args.delta, 0.0),
+        "plan": _load_plan(getattr(args, "plan", None)),
+        "code_digest": code_digest(), **fields,
+    })
 
 
 def _score_row(name, truth, detections):
@@ -147,17 +183,12 @@ def cmd_scenario(args) -> int:
 
     cmd = SCENARIO_COMMANDS[args.command]
     if not args.duration > 0:
-        print(f"repro {args.command}: duration must be positive, "
-              f"got {args.duration}", file=sys.stderr)
-        return 2
-    try:
+        raise UsageError(f"duration must be positive, got {args.duration}")
+    with _usage(ValueError):
         scenario, phi, initials = builders.build_scenario(
             cmd.profile, seed=args.seed, delta=args.delta,
             **{field: getattr(args, dest) for dest, field in cmd.config.items()},
         )
-    except ValueError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 2
     dets = {name: make_detector(DETECTORS[name], phi, initials)
             for name in getattr(args, "detectors", cmd.detectors)}
     for det in dets.values():
@@ -207,10 +238,11 @@ def cmd_clocks(args) -> int:
     from repro.core.system import PervasiveSystem, SystemConfig
     from repro.detect.base import RecordStore
 
-    system = PervasiveSystem(SystemConfig(
-        n_processes=args.n, seed=args.seed, delay=delay_model(args.delta),
-        clocks=ClockConfig.everything(),
-    ))
+    with _usage(ValueError):
+        system = PervasiveSystem(SystemConfig(
+            n_processes=args.n, seed=args.seed, delay=delay_model(args.delta),
+            clocks=ClockConfig.everything(),
+        ))
     store = RecordStore()
     for i in range(args.n):
         system.world.create(f"obj{i}", level=0)
@@ -258,18 +290,11 @@ def cmd_obs_run(args) -> int:
         instrument_system,
         render_console,
     )
-    from repro.replay import RunManifest
     from repro.replay.families import build_detector
     from repro.scenarios.builders import build_scenario
 
-    try:
-        manifest = RunManifest(
-            scenario=args.scenario, seed=args.seed, duration=args.duration,
-            delta=max(args.delta, 0.0),
-        )
-    except ValueError as exc:
-        print(f"repro obs run: {exc}", file=sys.stderr)
-        return 2
+    with _usage(ValueError):
+        manifest = _manifest(args)
     scenario, phi, initials = build_scenario(
         manifest.scenario, seed=manifest.seed, delta=manifest.delta
     )
@@ -351,6 +376,8 @@ def _run_grid(tasks, *, out: str, args, matrix: str, master_seed: int,
     )
     from repro.util.atomicio import durable_append_lines
 
+    with _usage(ValueError):
+        policy = SupervisePolicy(timeout_s=args.timeout, max_retries=args.retries)
     partial = Path(f"{out}.partial.jsonl")
     quarantine = f"{out}.quarantine.jsonl"
     cached: list = []
@@ -368,7 +395,7 @@ def _run_grid(tasks, *, out: str, args, matrix: str, master_seed: int,
     registry = MetricsRegistry()
     report = SupervisedPool(
         workers=args.workers,
-        policy=SupervisePolicy(timeout_s=args.timeout, max_retries=args.retries),
+        policy=policy,
         seed=getattr(args, "seed", 0),
         registry=registry,
         quarantine_path=quarantine,
@@ -413,13 +440,11 @@ def cmd_sweep(args) -> int:
                   f"{spec.description}")
         return 0
     if not args.matrix:
-        print("repro sweep: name a matrix or pass --list", file=sys.stderr)
-        return 2
+        raise UsageError("name a matrix or pass --list")
     spec = MATRICES.get(args.matrix)
     if spec is None:
-        print(f"repro sweep: unknown matrix {args.matrix!r} "
-              f"(have {', '.join(sorted(MATRICES))})", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown matrix {args.matrix!r} "
+                         f"(have {', '.join(sorted(MATRICES))})")
     tasks = expand_matrix(spec, master_seed=args.seed, reps=args.reps)
     rows, n_cached, failed, registry, path, code = _run_grid(
         tasks, out=args.out or f"sweep_{spec.name}.jsonl", args=args,
@@ -464,20 +489,15 @@ def cmd_lint(args) -> int:
         for rule_id in sorted(PROJECT_RULES):
             print(f"{rule_id}  {PROJECT_RULES[rule_id].title}  [whole-program]")
         return 0
-    select = None
-    if args.select:
-        select = [s for chunk in args.select for s in chunk.split(",") if s]
+    select = _split(args.select) if args.select else None
 
     if args.fix or args.diff:
-        try:
+        with _usage(LintUsageError):
             fix_report = fix_paths(
                 args.paths,
                 select=select,
                 write=args.fix and not (args.check or args.diff),
             )
-        except LintUsageError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
         if args.diff:
             sys.stdout.write(fix_report.render_diff())
         print(fix_report.summary())
@@ -490,18 +510,12 @@ def cmd_lint(args) -> int:
     cache = None if args.no_cache else LintCache(args.cache_dir)
     baseline = None
     if args.baseline is not None and not args.update_baseline:
-        try:
+        with _usage(BaselineError):
             baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-    try:
+    with _usage(LintUsageError):
         report = lint_paths(
             args.paths, select=select, cache=cache, baseline=baseline
         )
-    except LintUsageError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
     if args.update_baseline:
         path = args.baseline or "lint-baseline.json"
         Baseline.from_findings(report.findings).save(path)
@@ -541,25 +555,11 @@ def cmd_trace_record(args) -> int:
     embeds a :class:`~repro.replay.manifest.RunManifest` in the trace
     header, so the file is re-executable by ``repro replay``.
     """
-    from repro.replay import ReplayEngine, RunManifest, code_digest
+    from repro.replay import ReplayEngine
     from repro.trace import write_trace
 
-    try:
-        plan = _load_plan(args.plan)
-    except ValueError as exc:
-        print(f"repro trace record: {exc}", file=sys.stderr)
-        return 2
-    manifest = RunManifest(
-        scenario=args.scenario,
-        seed=args.seed,
-        duration=args.duration,
-        delta=max(args.delta, 0.0),
-        clock_family=args.clock_family,
-        check_period=args.check_period,
-        capacity=args.capacity,
-        plan=plan,
-        code_digest=code_digest(),
-    )
+    with _usage(ValueError):
+        manifest = _manifest(args, capacity=args.capacity)
     result = ReplayEngine().execute(manifest)
     recorder = result.recorder
     out = args.out or f"{args.scenario}.trace"
@@ -581,11 +581,8 @@ def cmd_trace_report(args) -> int:
 
     from repro.trace import CausalGraph, TraceError, TraceFormatError, read_trace
 
-    try:
+    with _usage(TraceFormatError):
         trace = read_trace(args.trace)
-    except TraceFormatError as exc:
-        print(f"repro trace report: {exc}", file=sys.stderr)
-        return 2
     graph = CausalGraph(trace.events)
     kinds: dict = {}
     for e in trace.events:
@@ -642,11 +639,8 @@ def cmd_trace_export(args) -> int:
         validate_perfetto,
     )
 
-    try:
+    with _usage(TraceFormatError):
         trace = read_trace(args.trace)
-    except TraceFormatError as exc:
-        print(f"repro trace export: {exc}", file=sys.stderr)
-        return 2
     if args.format == "perfetto":
         out = args.out or f"{args.trace}.perfetto.json"
         doc = perfetto_document(trace)
@@ -675,11 +669,8 @@ def cmd_trace_diff(args) -> int:
     """
     from repro.trace import trace_diff
 
-    try:
+    with _usage(OSError, ValueError):
         diff = trace_diff(args.trace_a, args.trace_b)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace diff: {exc}", file=sys.stderr)
-        return 2
     if diff["identical"]:
         print(f"identical: {diff['entries_a']} entries on both sides")
         return 0
@@ -714,18 +705,12 @@ def cmd_replay_verify(args) -> int:
     from repro.replay import ReplayEngine, ReplayError
     from repro.trace import TraceFormatError
 
-    try:
+    with _usage(ReplayError, TraceFormatError):
         report = ReplayEngine().verify(args.trace)
-    except (ReplayError, TraceFormatError) as exc:
-        print(f"repro replay verify: {exc}", file=sys.stderr)
-        return 2
-    text = _json.dumps(report, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.json:
-        print(text)
-    elif report["identical"]:
+    code = 0 if report["identical"] else 1
+    if _write_report(args, _json.dumps(report, sort_keys=True)):
+        return code
+    if report["identical"]:
         print(f"bit-identical: {report['recorded_lines']} lines, "
               f"{report['detections']} detection(s) reproduced "
               f"[{report['scenario']}/{report['clock_family']}]")
@@ -747,7 +732,7 @@ def cmd_replay_verify(args) -> int:
         for e in div["causal_context"]:
             print(f"    depends on gseq={e['gseq']} p{e['pid']} "
                   f"{e['kind']} t={e['t']:.4f} digest={e['digest']}")
-    return 0 if report["identical"] else 1
+    return code
 
 
 def cmd_replay_run(args) -> int:
@@ -756,11 +741,8 @@ def cmd_replay_run(args) -> int:
     from repro.trace import TraceFormatError, write_trace
 
     engine = ReplayEngine()
-    try:
+    with _usage(ReplayError, TraceFormatError):
         manifest = engine.manifest_of(args.trace)
-    except (ReplayError, TraceFormatError) as exc:
-        print(f"repro replay run: {exc}", file=sys.stderr)
-        return 2
     result = engine.execute(manifest)
     out = args.out or f"{args.trace}.replay"
     path = write_trace(out, result.recorder)
@@ -782,33 +764,18 @@ def cmd_replay_counterfactual(args) -> int:
     from repro.replay import CounterfactualSpec, run_counterfactual
 
     drop_plan = args.plan == "none"
-    plan = None
-    if args.plan is not None and not drop_plan:
-        try:
-            plan = _load_plan(args.plan)
-        except ValueError as exc:
-            print(f"repro replay counterfactual: {exc}", file=sys.stderr)
-            return 2
-    try:
+    # ReplayError and TraceFormatError are both ValueError.
+    with _usage(ValueError):
         spec = CounterfactualSpec(
             clock_family=args.clock_family,
             delta=args.delta,
             check_period=args.check_period,
-            plan=plan,
+            plan=None if drop_plan else _load_plan(args.plan),
             drop_plan=drop_plan,
         )
         diff = run_counterfactual(args.trace, spec)
-    except ValueError as exc:
-        # ReplayError and TraceFormatError are both ValueError.
-        print(f"repro replay counterfactual: {exc}", file=sys.stderr)
-        return 2
     report = diff.to_report()
-    text = _json.dumps(report, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.json:
-        print(text)
+    if _write_report(args, _json.dumps(report, sort_keys=True)):
         return 0
     base = report["baseline_manifest"]
     cf = report["counterfactual_manifest"]
@@ -847,24 +814,12 @@ def cmd_replay_matrix(args) -> int:
     from repro.replay import matrix_spec
     from repro.sweep import expand_matrix
 
-    families = tuple(
-        s for chunk in (args.clock_families or []) for s in chunk.split(",") if s
-    )
-    deltas = tuple(
-        float(s) for chunk in (args.deltas or []) for s in chunk.split(",") if s
-    )
-    periods = tuple(
-        float(s) for chunk in (args.check_periods or [])
-        for s in chunk.split(",") if s
-    )
-    try:
+    with _usage(ValueError):
         spec = matrix_spec(
-            args.trace, clock_families=families or None,
-            deltas=deltas or None, check_periods=periods or None,
+            args.trace, clock_families=_split(args.clock_families) or None,
+            deltas=_split(args.deltas, float) or None,
+            check_periods=_split(args.check_periods, float) or None,
         )
-    except ValueError as exc:
-        print(f"repro replay matrix: {exc}", file=sys.stderr)
-        return 2
     tasks = expand_matrix(spec, master_seed=0)
     rows, n_cached, failed, _, path, code = _run_grid(
         tasks, out=args.out or f"{args.trace}.matrix.jsonl", args=args,
@@ -889,23 +844,6 @@ def cmd_replay_matrix(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _recover_manifest(args, *, clock_family: "str | None" = None):
-    """RunManifest from recover/serve CLI args (plan optional)."""
-    from repro.replay import RunManifest, code_digest
-
-    plan = _load_plan(getattr(args, "plan", None))
-    return RunManifest(
-        scenario=args.scenario,
-        seed=args.seed,
-        duration=args.duration,
-        delta=max(args.delta, 0.0),
-        clock_family=clock_family or args.clock_family,
-        check_period=args.check_period,
-        plan=plan,
-        code_digest=code_digest(),
-    )
-
-
 def cmd_recover_certify(args) -> int:
     """Kill-anywhere certification: prove that a crash+restore at every
     Nth event boundary resumes to byte-identical output.
@@ -916,16 +854,10 @@ def cmd_recover_certify(args) -> int:
 
     from repro.recover import certify_all_families, certify_kill_anywhere
 
-    try:
-        manifest = _recover_manifest(
-            args,
-            clock_family=(
-                "vector_strobe" if args.family == "all" else args.family
-            ),
-        )
-    except ValueError as exc:
-        print(f"repro recover certify: {exc}", file=sys.stderr)
-        return 2
+    with _usage(ValueError):
+        manifest = _manifest(args, clock_family=(
+            "vector_strobe" if args.family == "all" else args.family
+        ))
     if args.family == "all":
         report = certify_all_families(
             manifest, every_n=args.every, max_boundaries=args.max_boundaries,
@@ -937,13 +869,7 @@ def cmd_recover_certify(args) -> int:
             every_n=args.every, max_boundaries=args.max_boundaries,
         )
         family_reports = [report]
-    text = _json.dumps(report, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.json:
-        print(text)
-    else:
+    if not _write_report(args, _json.dumps(report, sort_keys=True)):
         print(f"scenario  : {report['scenario']} seed={report['seed']} "
               f"duration={report['duration']}s")
         for fam in family_reports:
@@ -964,11 +890,8 @@ def cmd_recover_stream(args) -> int:
     consumable by ``repro serve --wal``."""
     from repro.recover.stream import write_record_stream
 
-    try:
-        manifest = _recover_manifest(args)
-    except ValueError as exc:
-        print(f"repro recover stream: {exc}", file=sys.stderr)
-        return 2
+    with _usage(ValueError):
+        manifest = _manifest(args)
     out = args.out or f"{args.scenario}.stream.jsonl"
     n = write_record_stream(out, manifest, host=args.host)
     print(f"{n} record(s) delivered to host {args.host} -> {out}")
@@ -993,18 +916,15 @@ def cmd_serve(args) -> int:
     from repro.recover import WalServer
     from repro.recover.wal import WalError
 
-    try:
+    with _usage(WalError, ValueError):
         if args.scenario is not None:
             server = WalServer(
                 args.wal,
-                manifest=_recover_manifest(args),
+                manifest=_manifest(args),
                 checkpoint_every=args.checkpoint_every,
             )
         else:
             server = WalServer(args.wal)
-    except (WalError, ValueError) as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
     if args.input:
         specs = []
         try:
@@ -1014,20 +934,17 @@ def cmd_serve(args) -> int:
                         continue
                     spec = _json.loads(line)
                     if not isinstance(spec, dict):
-                        print(f"repro serve: {args.input}:{lineno}: stream "
-                              f"line is not a JSON object", file=sys.stderr)
-                        return 2
+                        raise UsageError(f"{args.input}:{lineno}: stream "
+                                         f"line is not a JSON object")
                     if spec.get("kind") != "meta":
                         specs.append(spec)
         except (OSError, _json.JSONDecodeError) as exc:
-            print(f"repro serve: cannot read stream {args.input!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot read stream {args.input!r}: {exc}") from exc
         done = server.ingested_records
         if done:
             print(f"recovered: {done} record(s) already in the WAL, "
                   f"{max(0, len(specs) - done)} to ingest")
-        try:
+        with _usage(WalError):
             for spec in specs[done:]:
                 server.ingest(spec)
                 if (args.kill_after is not None
@@ -1035,9 +952,6 @@ def cmd_serve(args) -> int:
                     # Simulated crash for the recovery tests: no flush,
                     # no atexit, no checkpoint — the hardest landing.
                     _os._exit(42)
-        except WalError as exc:
-            print(f"repro serve: {exc}", file=sys.stderr)
-            return 2
         if args.finalize and server.ingested_records >= len(specs):
             server.finalize()
         else:
@@ -1063,17 +977,13 @@ def cmd_chaos(args) -> int:
     """
     from repro.faults import report_json, run_chaos
 
-    try:
+    with _usage(ValueError):
         plan = _load_plan(args.plan)
-    except ValueError as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
-    report = run_chaos(
-        args.scenario, seed=args.seed, duration=args.duration,
-        plan=plan, ripple_horizon=args.horizon,
-        trace_capacity=65536 if args.trace else None,
-    )
-    text = report_json(report)
+        report = run_chaos(
+            args.scenario, seed=args.seed, duration=args.duration,
+            plan=plan, ripple_horizon=args.horizon,
+            trace_capacity=65536 if args.trace else None,
+        )
     if args.trace:
         from repro.trace import write_trace
 
@@ -1081,12 +991,7 @@ def cmd_chaos(args) -> int:
         for suffix, rec in (("base", base_rec), ("faulty", faulty_rec)):
             path = write_trace(f"{args.trace}.{suffix}.trace", rec)
             print(f"{suffix} trace: {rec.total_recorded} events -> {path}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.json:
-        print(text)
-    else:
+    if not _write_report(args, report_json(report)):
         mm = report["mismatches"]
         print(f"plan      : {plan.name} ({len(plan)} events, "
               f"{len(report['windows'])} windows)")
@@ -1107,21 +1012,77 @@ def cmd_chaos(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+def command(group, name: str, fn: Callable[[Any], int], **kw) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` to ``group``, run by ``fn``.  Its ``prog``
+    (``repro trace record``) names it when :func:`main` reports bad input."""
+    p = group.add_parser(name, **kw)
+    p.set_defaults(fn=fn, prog=p.prog)
+    return p
+
+
+def _run_flags(p, duration: float = 120.0) -> None:
+    """--seed / --delta / --duration of a scenario run."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float, default=0.2,
+                   help="message delay bound Δ in seconds (0 = synchronous)")
+    p.add_argument("--duration", type=float, default=duration)
+
+
+def _manifest_flags(p, families: "tuple[str, ...]", duration: float = 120.0) -> None:
+    """The flags :func:`_manifest` reads; ``--clock-family`` offers
+    ``families`` (none: the command picks the family itself)."""
+    _run_flags(p, duration)
+    if families:
+        p.add_argument("--clock-family", choices=families,
+                       default="vector_strobe", help="detection time model")
+    p.add_argument("--check-period", type=float, default=0.1,
+                   help="online detector flush period (the sync-period "
+                        "knob; ignored by offline families)")
+
+
+def _report_flags(p) -> None:
+    """The flags :func:`_write_report` reads."""
+    p.add_argument("--json", action="store_true",
+                   help="print the canonical JSON report")
+    p.add_argument("--out", metavar="PATH", default=None,
+                   help="also write the JSON report to PATH")
+
+
+def _worker_flags(p, out: str) -> None:
+    """The worker-plane flags :func:`_run_grid` reads."""
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="process-pool size (1 = inline; output is "
+                        "byte-identical for any value)")
+    p.add_argument("--out", metavar="PATH", default=None,
+                   help=f"output JSONL (default {out})")
+    p.add_argument("--resume", action="store_true",
+                   help="skip points whose rows already exist in --out "
+                        "or its .partial.jsonl sidecar "
+                        "(keyed by coordinate digest); errored rows re-run")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                   help="kill a task exceeding this wall time and replace "
+                        "its worker (default: no per-task deadline)")
+    p.add_argument("--retries", type=int, default=2, metavar="N",
+                   help="retry a hung/killed task up to N times before "
+                        "quarantining it to <out>.quarantine.jsonl "
+                        "(default 2)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.recover.wal import SERVABLE_FAMILIES
+    from repro.replay.manifest import CLOCK_FAMILIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Pervasive sensornet time-model reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--delta", type=float, default=0.2,
-                       help="message delay bound Δ in seconds (0 = synchronous)")
-        p.add_argument("--duration", type=float, default=120.0)
-
-    p = sub.add_parser("hall", help="§5 exhibition hall")
-    common(p)
+    p = command(sub, "hall", cmd_scenario, help="§5 exhibition hall")
+    _run_flags(p)
     p.add_argument("--doors", type=int, default=4)
     p.add_argument("--capacity", type=int, default=10)
     p.add_argument("--rate", type=float, default=2.5, help="arrivals/s")
@@ -1131,36 +1092,32 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(DETECTORS))
     p.add_argument("--export", metavar="PATH", default=None,
                    help="write a JSON run bundle (records/truth/detections)")
-    p.set_defaults(fn=cmd_scenario)
 
-    p = sub.add_parser("office", help="§3.3 smart office")
-    common(p)
-    p.set_defaults(fn=cmd_scenario)
+    p = command(sub, "office", cmd_scenario, help="§3.3 smart office")
+    _run_flags(p)
 
-    p = sub.add_parser("hospital", help="hospital ward monitoring")
-    common(p)
+    p = command(sub, "hospital", cmd_scenario, help="hospital ward monitoring")
+    _run_flags(p)
     p.add_argument("--visitors", type=int, default=12)
     p.add_argument("--capacity", type=int, default=4)
-    p.set_defaults(fn=cmd_scenario)
 
-    p = sub.add_parser("habitat", help="duty-cycled wildlife monitoring")
-    common(p)
+    p = command(sub, "habitat", cmd_scenario,
+                help="duty-cycled wildlife monitoring")
+    _run_flags(p)
     p.add_argument("--mac-period", type=float, default=2.0)
     p.add_argument("--mac-duty", type=float, default=0.25)
-    p.set_defaults(fn=cmd_scenario)
 
-    p = sub.add_parser("clocks", help="stamp one execution under all clocks")
-    common(p)
+    p = command(sub, "clocks", cmd_clocks,
+                help="stamp one execution under all clocks")
+    _run_flags(p)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--events", type=int, default=3)
-    p.set_defaults(fn=cmd_clocks)
 
     p = sub.add_parser("obs", help="instrumented runs (repro.obs)")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
-    p = obs_sub.add_parser(
-        "run", help="run a scenario with instrumentation on and export"
-    )
-    common(p)
+    p = command(obs_sub, "run", cmd_obs_run,
+                help="run a scenario with instrumentation on and export")
+    _run_flags(p)
     p.add_argument("scenario", choices=OBS_SCENARIOS)
     p.add_argument("--export", choices=["console", "jsonl", "csv"],
                    default="console",
@@ -1169,36 +1126,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path (default obs_<scenario>.<ext>)")
     p.add_argument("--sample-every", type=_positive_int, default=500,
                    help="metric time-series sample period, in fired events")
-    p.add_argument("--max-lattice", type=int, default=50_000,
+    p.add_argument("--max-lattice", type=_positive_int, default=50_000,
                    help="state cap for the lattice modal query")
-    p.set_defaults(fn=cmd_obs_run)
 
-    p = sub.add_parser(
-        "sweep", help="run a (config, seed) replication matrix (repro.sweep)"
-    )
+    p = command(sub, "sweep", cmd_sweep,
+                help="run a (config, seed) replication matrix (repro.sweep)")
     p.add_argument("matrix", nargs="?", default=None,
                    help="matrix name (see --list)")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; per-task seeds derive from it")
     p.add_argument("--reps", type=_positive_int, default=None,
                    help="replications per grid point (default: the matrix's)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-pool size (1 = inline; output is "
-                        "byte-identical for any value)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="output JSONL (default sweep_<matrix>.jsonl)")
     p.add_argument("--list", dest="list_matrices", action="store_true",
                    help="list the named matrices and exit")
-    p.add_argument("--resume", action="store_true",
-                   help="skip points whose rows already exist in --out "
-                        "or its .partial.jsonl sidecar "
-                        "(keyed by coordinate digest); errored rows re-run")
-    _supervision_flags(p)
-    p.set_defaults(fn=cmd_sweep)
+    _worker_flags(p, out="sweep_<matrix>.jsonl")
 
-    p = sub.add_parser(
-        "lint", help="determinism & causality static analysis (repro.lint)"
-    )
+    p = command(sub, "lint", cmd_lint,
+                help="determinism & causality static analysis (repro.lint)")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
     p.add_argument("--json", action="store_true",
@@ -1227,12 +1171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite --baseline (default lint-baseline.json) "
                         "from the current findings and exit")
-    p.set_defaults(fn=cmd_lint)
 
-    p = sub.add_parser(
-        "chaos",
-        help="fault-injection run vs fault-free twin (repro.faults)",
-    )
+    p = command(sub, "chaos", cmd_chaos,
+                help="fault-injection run vs fault-free twin (repro.faults)")
     p.add_argument("--scenario", default="smart_office",
                    choices=["smart_office"],
                    help="target scenario (must consume no network rng)")
@@ -1244,24 +1185,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=20.0,
                    help="ripple horizon: max seconds a mismatch may trail "
                         "its fault window's clearing action")
-    p.add_argument("--json", action="store_true",
-                   help="print the canonical JSON report")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="also write the canonical JSON report to PATH")
+    _report_flags(p)
     p.add_argument("--trace", metavar="PREFIX", default=None,
                    help="record both runs; write PREFIX.base.trace and "
                         "PREFIX.faulty.trace for `repro trace diff`")
-    p.set_defaults(fn=cmd_chaos)
 
-    p = sub.add_parser(
-        "trace", help="causal flight recorder (repro.trace)"
-    )
+    p = sub.add_parser("trace", help="causal flight recorder (repro.trace)")
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
 
-    p = trace_sub.add_parser(
-        "record", help="run a scenario with the flight recorder attached"
-    )
-    common(p)
+    p = command(trace_sub, "record", cmd_trace_record,
+                help="run a scenario with the flight recorder attached")
+    _manifest_flags(p, CLOCK_FAMILIES)
     p.add_argument("scenario", choices=OBS_SCENARIOS)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="trace file (default <scenario>.trace)")
@@ -1270,40 +1204,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None, metavar="NAME|PATH",
                    help="optionally inject faults while recording "
                         "('default' or a FaultPlan JSON file)")
-    from repro.replay.manifest import CLOCK_FAMILIES as _FAMILIES
 
-    p.add_argument("--clock-family", choices=_FAMILIES,
-                   default="vector_strobe",
-                   help="detection time model to record under")
-    p.add_argument("--check-period", type=float, default=0.1,
-                   help="online detector flush period (the sync-period "
-                        "knob; ignored by offline families)")
-    p.set_defaults(fn=cmd_trace_record)
-
-    p = trace_sub.add_parser(
-        "report", help="happens-before stats + detection latency attribution"
-    )
+    p = command(trace_sub, "report", cmd_trace_report,
+                help="happens-before stats + detection latency attribution")
     p.add_argument("trace", help="trace file from `repro trace record`")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
-    p.set_defaults(fn=cmd_trace_report)
 
-    p = trace_sub.add_parser(
-        "export", help="export to Chrome/Perfetto JSON or canonical JSONL"
-    )
+    p = command(trace_sub, "export", cmd_trace_export,
+                help="export to Chrome/Perfetto JSON or canonical JSONL")
     p.add_argument("trace", help="trace file from `repro trace record`")
     p.add_argument("--format", choices=["perfetto", "jsonl"],
                    default="perfetto")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="output path (default <trace>.perfetto.json / .jsonl)")
-    p.set_defaults(fn=cmd_trace_export)
 
-    p = trace_sub.add_parser(
-        "diff", help="structural diff of two traces (twin chaos runs)"
-    )
+    p = command(trace_sub, "diff", cmd_trace_diff,
+                help="structural diff of two traces (twin chaos runs)")
     p.add_argument("trace_a")
     p.add_argument("trace_b")
-    p.set_defaults(fn=cmd_trace_diff)
 
     p = sub.add_parser(
         "replay",
@@ -1311,31 +1230,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_sub = p.add_subparsers(dest="replay_command", required=True)
 
-    p = replay_sub.add_parser(
-        "verify",
-        help="re-execute a recorded trace and prove bit-identity",
-    )
+    p = command(replay_sub, "verify", cmd_replay_verify,
+                help="re-execute a recorded trace and prove bit-identity")
     p.add_argument("trace", help="trace file from `repro trace record`")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="also write the JSON report to PATH")
-    p.set_defaults(fn=cmd_replay_verify)
+    _report_flags(p)
 
-    p = replay_sub.add_parser(
-        "run", help="re-execute a trace's manifest; write the new trace"
-    )
+    p = command(replay_sub, "run", cmd_replay_run,
+                help="re-execute a trace's manifest; write the new trace")
     p.add_argument("trace", help="trace file from `repro trace record`")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="re-recorded trace path (default <trace>.replay)")
-    p.set_defaults(fn=cmd_replay_run)
 
-    p = replay_sub.add_parser(
-        "counterfactual",
-        help="re-execute under a swapped time model; diff the detections",
-    )
+    p = command(replay_sub, "counterfactual", cmd_replay_counterfactual,
+                help="re-execute under a swapped time model; diff the detections")
     p.add_argument("trace", help="trace file from `repro trace record`")
-    p.add_argument("--clock-family", choices=_FAMILIES, default=None,
+    p.add_argument("--clock-family", choices=CLOCK_FAMILIES, default=None,
                    help="swap the detection time model")
     p.add_argument("--delta", type=float, default=None,
                    help="swap the Δ delay bound")
@@ -1344,16 +1253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None, metavar="NAME|PATH|none",
                    help="swap the fault plan ('default', a FaultPlan JSON "
                         "file, or 'none' to remove the recorded plan)")
-    p.add_argument("--json", action="store_true",
-                   help="print the canonical JSON diff report")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="also write the JSON diff report to PATH")
-    p.set_defaults(fn=cmd_replay_counterfactual)
+    _report_flags(p)
 
-    p = replay_sub.add_parser(
-        "matrix",
-        help="fan one trace across a grid of time-model swaps (repro.sweep)",
-    )
+    p = command(replay_sub, "matrix", cmd_replay_matrix,
+                help="fan one trace across a grid of time-model swaps (repro.sweep)")
     p.add_argument("trace", help="trace file from `repro trace record`")
     p.add_argument("--clock-families", action="append", metavar="FAMS",
                    default=None,
@@ -1363,15 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-periods", action="append", metavar="PERIODS",
                    default=None,
                    help="comma-separated sync periods to sweep")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-pool size (output byte-identical for any value)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="output JSONL (default <trace>.matrix.jsonl)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip points whose rows already exist in --out "
-                        "or its .partial.jsonl sidecar")
-    _supervision_flags(p)
-    p.set_defaults(fn=cmd_replay_matrix)
+    _worker_flags(p, out="<trace>.matrix.jsonl")
 
     p = sub.add_parser(
         "recover",
@@ -1380,68 +1275,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover_sub = p.add_subparsers(dest="recover_command", required=True)
 
-    p = recover_sub.add_parser(
-        "certify",
-        help="prove kill-at-every-Nth-event recovery is byte-identical",
-    )
+    p = command(recover_sub, "certify", cmd_recover_certify,
+                help="prove kill-at-every-Nth-event recovery is byte-identical "
+                     "(re-runs the scenario once per boundary: keep "
+                     "--duration modest)")
+    _manifest_flags(p, (), duration=30.0)
     p.add_argument("scenario", choices=OBS_SCENARIOS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=0.2,
-                   help="message delay bound Δ in seconds")
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="simulated horizon (certification re-runs the "
-                        "scenario once per boundary — keep this modest)")
-    p.add_argument("--family", choices=(*_FAMILIES, "all"), default="all",
+    p.add_argument("--family", choices=(*CLOCK_FAMILIES, "all"), default="all",
                    help="clock family to certify, or 'all' for the "
                         "five-family proof")
-    p.add_argument("--check-period", type=float, default=0.1)
     p.add_argument("--every", type=_positive_int, default=25,
                    help="kill at every Nth event boundary")
     p.add_argument("--max-boundaries", type=_positive_int, default=None,
                    help="cap tested boundaries (evenly thinned)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="also write the JSON report to PATH")
-    p.set_defaults(fn=cmd_recover_certify)
+    _report_flags(p)
 
-    p = recover_sub.add_parser(
-        "stream",
-        help="export a host's delivered record stream for `repro serve`",
-    )
+    p = command(recover_sub, "stream", cmd_recover_stream,
+                help="export a host's delivered record stream for `repro serve`")
+    _manifest_flags(p, CLOCK_FAMILIES)
     p.add_argument("scenario", choices=OBS_SCENARIOS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--clock-family", choices=_FAMILIES,
-                   default="vector_strobe")
-    p.add_argument("--check-period", type=float, default=0.1)
     p.add_argument("--host", type=int, default=0,
                    help="process hosting the detector tap")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="stream JSONL (default <scenario>.stream.jsonl)")
-    p.set_defaults(fn=cmd_recover_stream)
 
-    from repro.recover.wal import SERVABLE_FAMILIES as _SERVABLE
-
-    p = sub.add_parser(
-        "serve",
-        help="WAL-checkpointed streaming detection surviving kill -9 "
-             "(repro.recover)",
-    )
+    p = command(sub, "serve", cmd_serve,
+                help="WAL-checkpointed streaming detection surviving kill -9 "
+                     "(repro.recover)")
+    _manifest_flags(p, SERVABLE_FAMILIES)
     p.add_argument("--wal", metavar="DIR", required=True,
                    help="serve directory (WAL + checkpoint + detections)")
     p.add_argument("--scenario", choices=OBS_SCENARIOS, default=None,
                    help="create a new serve directory for this scenario "
                         "(omit to reopen and recover an existing one)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--clock-family", choices=_SERVABLE,
-                   default="vector_strobe",
-                   help="online family to host (offline families have no "
-                        "incremental frontier to serve)")
-    p.add_argument("--check-period", type=float, default=0.1)
     p.add_argument("--checkpoint-every", type=_positive_int, default=64,
                    help="checkpoint the frontier every N ingested records")
     p.add_argument("--in", dest="input", metavar="PATH", default=None,
@@ -1453,14 +1319,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "finalize once the whole stream is ingested)")
     p.add_argument("--kill-after", type=_positive_int, default=None,
                    help=argparse.SUPPRESS)  # crash simulation for tests
-    p.set_defaults(fn=cmd_serve)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Exit codes: 0 ok, 1 a check failed, 2 bad input,
+    130 interrupted.  Bad input is reported here, on one stderr line
+    prefixed by the command's name."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"{args.prog}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -55,6 +55,8 @@ class ExhibitionHallConfig:
     topology: "Topology | None" = None     # None = complete graph
 
     def __post_init__(self) -> None:
+        if self.capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {self.capacity}")
         if self.mean_dwell < 0:
             raise ValueError(f"mean_dwell must be non-negative, got {self.mean_dwell}")
 

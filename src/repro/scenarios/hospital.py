@@ -55,6 +55,11 @@ class HospitalConfig:
     clocks: ClockConfig = field(default_factory=ClockConfig.everything)
     keep_event_logs: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("n_visitors", "n_staff", "waiting_capacity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 class Hospital(Scenario):
     """Builds the hospital floor with zone sensors."""

@@ -55,6 +55,11 @@ def test_habitat_runs(capsys):
     ("hospital --duration -1",
      "repro hospital: duration must be positive, got -1.0"),
     ("habitat --mac-duty 0", "repro habitat: duty must be in (0,1], got 0.0"),
+    ("hospital --visitors -1",
+     "repro hospital: n_visitors must be non-negative, got -1"),
+    ("hospital --capacity -1",
+     "repro hospital: waiting_capacity must be non-negative, got -1"),
+    ("hall --capacity -3", "repro hall: capacity must be non-negative, got -3"),
 ])
 def test_scenario_command_rejects_bad_values_with_one_line(argv, message, capsys):
     assert main(argv.split()) == 2
@@ -145,6 +150,14 @@ def test_obs_run_negative_delta_runs_the_delta_zero_profile(tmp_path, capsys):
 def test_obs_run_rejects_a_nonpositive_duration(capsys):
     assert main(["obs", "run", "hall", "--duration", "0"]) == 2
     assert "duration must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_obs_run_rejects_a_nonpositive_lattice_cap(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "run", "hall", "--max-lattice", cap])
+    assert exc.value.code == 2
+    assert f"argument --max-lattice: must be >= 1, got {cap}" in capsys.readouterr().err
 
 
 def test_obs_rejects_unknown_scenario():
